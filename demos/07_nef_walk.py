@@ -3,8 +3,10 @@
 Two independent tools: the canonical form pulls a primitive isotropic class
 orthogonal to any Kaehler-type class out of the second hyperbolic block,
 and the reflection walk moves an isotropic class until no root on the
-Kaehler side pairs negatively with it. The strictly decreasing pairing
-trace is the termination certificate.
+Kaehler side pairs negatively with it. Each step scans the root levels
+delta.omega = 1, 2, ... and reflects in the first root that pairs
+negatively, so only the levels up to that one are enumerated. The strictly
+decreasing pairing trace is the termination certificate.
 """
 from k3lag import (
     direct_sum,
@@ -18,7 +20,10 @@ from k3lag import (
     syz_witness,
 )
 
-# The walk on U + <-2>: omega = (3,2,1), start at ell = (1,1,-1).
+# The walk on U + <-2>: omega = (3,2,1), start at ell = (1,1,-1). No root at
+# level delta.omega = 1 pairs negatively with the start, so the first step
+# reflects in a level-2 root; the second step reuses the level-1 listing the
+# first one fetched and finds its root there.
 host = direct_sum(hyperbolic_plane(), from_diagonal([-2]))
 omega = (3, 2, 1)
 result = make_nef(host, omega, (1, 1, -1))
@@ -26,8 +31,10 @@ print("nef class:", result.nef_class)
 print("reflections used:", result.reflections)
 print("pairing trace:", result.pairing_trace, "(strictly decreasing)")
 
-# The final certificate is exhaustive, not sampled: the remaining slice is
-# finite and every member pairs >= 0 with the result.
+# The final certificate is exhaustive, not sampled: the remaining slice
+# 0 < delta.omega < ell.omega is finite and every member pairs >= 0 with the
+# result. This is the whole slice the last step of the walk scanned, level
+# by level, without finding a negative root.
 bound = inner(host, result.nef_class, omega)
 leftover = root_slice(host, omega, bound)
 print("remaining slice:", leftover)

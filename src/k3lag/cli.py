@@ -26,7 +26,7 @@ from .criteria import (
 )
 from .eichler import canonical_form, orth_witnesses
 from .enumeration import Unknown, find_isotropic, find_positive, roots_generate
-from .errors import InvalidPeriod, LatticeError, TypeOneOne
+from .errors import InvalidPeriod, LatticeError, RankMismatch, TypeOneOne
 from .exact import primitivize, rational_direction
 from .fibration import syz_witness
 from .hodge import PeriodData, phase_square
@@ -111,9 +111,15 @@ def _host_from(payload: dict) -> Lattice:
     return ser.dec_lattice(payload.get("host", "K3"), "host")
 
 
+def _checked_height(height: int) -> int:
+    if height < 1:
+        raise ser.InputError("bad_height", "height must be >= 1")
+    return height
+
+
 def _default_height(args) -> int:
-    if getattr(args, "height", None):
-        return args.height
+    if getattr(args, "height", None) is not None:
+        return _checked_height(args.height)
     env = os.environ.get(HEIGHT_ENV)
     if env is not None:
         try:
@@ -256,7 +262,7 @@ def _cmd_realize(args) -> Tuple[dict, int]:
     rows = ser.dec_matrix(payload["sublattice"], "sublattice")
     try:
         sub = Sublattice.from_generators(host, rows)
-    except Exception as exc:
+    except (RankMismatch, ValueError) as exc:
         raise ser.InputError("bad_sublattice", str(exc))
     rep = realizable(host, sub)
     echo = {"host": ser.enc_lattice(host), "sublattice": ser.enc_sublattice(sub)}
@@ -523,7 +529,7 @@ def _verify_classify(inp: dict, result: dict, failures: list) -> None:
 
 def _verify_info(inp: dict, result: dict, failures: list) -> None:
     lat = ser.dec_lattice(inp["lattice"], "lattice")
-    height = ser.dec_int(inp["options"]["height"], "height")
+    height = _checked_height(ser.dec_int(inp["options"]["height"], "height"))
     fresh, _ = _info_result(lat, height)
     if fresh != result:
         failures.append("info changed on recomputation")

@@ -15,7 +15,7 @@ from math import isqrt
 from typing import Iterator, List, Optional, Tuple
 
 from . import intlinalg as la
-from .errors import NotNegativeDefinite, NotPositive
+from .errors import ImpossibleState, NotNegativeDefinite, NotPositive
 from .exact import content, primitivize, rational_direction, sign_normalized
 from .lattice import (
     Lattice,
@@ -99,19 +99,21 @@ def _decompose(pd) -> Tuple[List[Fraction], List[List[Fraction]]]:
 
 
 def _ellipsoid_points(
-    pd, center: Tuple[Fraction, ...], bound: Fraction
+    dec, center: Tuple[Fraction, ...], bound: Fraction
 ) -> Iterator[Tuple[IntVec, Fraction]]:
     """Integer points x with Q(x - center) <= bound, with the exact value.
 
-    Deterministic order; complete by construction of the level bounds.
+    dec = (d, mu) is _decompose of Q, so callers enumerating several
+    ellipsoids of one form decompose it once. Deterministic order; complete
+    by construction of the level bounds.
     """
-    n = len(pd)
+    d, mu = dec
+    n = len(d)
     if bound < 0:
         return
     if n == 0:
         yield (), Fraction(0)
         return
-    d, mu = _decompose(pd)
     x = [0] * n
 
     def rec(k: int, budget: Fraction) -> Iterator[Tuple[IntVec, Fraction]]:
@@ -154,7 +156,7 @@ def short_vectors(lat: Lattice, bound: int) -> List[IntVec]:
     pd = tuple(tuple(-g for g in row) for row in lat.gram)
     zero = tuple(Fraction(0) for _ in range(lat.rank))
     out = []
-    for x, q in _ellipsoid_points(pd, zero, Fraction(bound)):
+    for x, q in _ellipsoid_points(_decompose(pd), zero, Fraction(bound)):
         if q == 0:
             continue
         if sign_normalized(x) == x:
@@ -202,7 +204,8 @@ def find_positive(lat: Lattice) -> Optional[IntVec]:
     diag, basis = la.symmetric_diagonalize(g)
     k = next(i for i in range(n) if diag[i] > 0)
     v = rational_direction(basis[k])
-    assert norm(lat, v) > 0
+    if norm(lat, v) <= 0:
+        raise ImpossibleState("diagonalization gave a non-positive vector")
     return v
 
 
@@ -235,11 +238,13 @@ def find_isotropic(lat: Lattice, height: int = 10):
     return Unknown(height)
 
 
-def root_slice(lat: Lattice, w, bound: int) -> List[IntVec]:
-    """All roots delta with delta.delta = -2 and 0 < delta.w < bound.
+def root_slice(lat: Lattice, w, bound: int, lower: int = 0) -> List[IntVec]:
+    """All roots delta with delta.delta = -2 and lower < delta.w < bound.
 
     Requires w.w > 0 with negative definite w-orthogonal complement, which
-    makes the slice finite; the listing is complete and lexicographic.
+    makes the slice finite; the listing is complete and lexicographic. The
+    lower end (default 0, at least 0) cuts the slice to the levels above
+    it, so root_slice(lat, w, a + 1, a - 1) is the single level delta.w = a.
     """
     wv = tuple(int(c) for c in w)
     if len(wv) != lat.rank:
@@ -249,6 +254,8 @@ def root_slice(lat: Lattice, w, bound: int) -> List[IntVec]:
         raise NotPositive(f"w.w = {w2} must be positive")
     if bound < 1:
         raise ValueError("bound must be a positive integer")
+    if lower < 0:
+        raise ValueError("lower must be a non-negative integer")
     comp = orth_complement(lat, [wv])
     comp_lat = comp.as_lattice()
     _require_negative_definite(comp_lat)
@@ -260,8 +267,9 @@ def root_slice(lat: Lattice, w, bound: int) -> List[IntVec]:
     sol = _pairing_solution(gw, d)
     pd = tuple(tuple(-g for g in row) for row in comp_lat.gram)
     pinv = la.frac_inverse(pd) if k else ()
+    dec = _decompose(pd)
     out = []
-    for a in range(d, bound, d):
+    for a in range((lower // d + 1) * d, bound, d):
         xa = tuple((a // d) * c for c in sol)
         s0 = norm(lat, xa)
         t = tuple(inner(lat, xa, row) for row in m)
@@ -272,7 +280,7 @@ def root_slice(lat: Lattice, w, bound: int) -> List[IntVec]:
             r = Fraction(s0 + 2) + sum(t[i] * u[i] for i in range(k))
             if r < 0:
                 continue
-            for c, q in _ellipsoid_points(pd, u, r):
+            for c, q in _ellipsoid_points(dec, u, r):
                 if q == r:
                     delta = tuple(
                         x + y for x, y in zip(xa, la.vecmat(c, m))

@@ -68,11 +68,15 @@ def reflection(lat: Lattice, delta) -> Isometry:
 def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
     """Reflect ell into the chamber where no slice root pairs negatively.
 
-    Candidates at each step are the complete root slice 0 < delta.omega <
-    ell.omega (the reflected pairing stays positive exactly when delta.omega
-    is below that bound), filtered to delta.ell < 0; ties break by minimal
-    delta.omega, then lexicographic order. Each step preserves ell.ell = 0
-    and strictly decreases ell.omega, so the walk terminates.
+    Each step scans the root levels a = delta.omega = 1, 2, ... below the
+    current ell.omega (the reflected pairing stays positive exactly when
+    delta.omega is below that bound) and stops at the first level holding
+    roots with delta.ell < 0; the lexicographically smallest of those is
+    the reflection. So the tie-break is minimal delta.omega, then
+    lexicographic order, and only the levels up to the chosen one are
+    enumerated. Levels depend on omega alone, so later steps reuse them.
+    Each step preserves ell.ell = 0 and strictly decreases ell.omega, so
+    the walk terminates.
     """
     ov = tuple(int(c) for c in omega)
     lv = tuple(int(c) for c in ell)
@@ -87,16 +91,17 @@ def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
     trace = [pairing]
     used = []
     cur = lv
+    levels = {}  # a -> sorted roots with delta.omega = a
     while True:
-        bound = trace[-1]
-        if bound <= 1:
+        delta = None
+        for a in range(1, trace[-1]):
+            if a not in levels:
+                levels[a] = root_slice(lat, ov, a + 1, a - 1)
+            delta = next((d for d in levels[a] if inner(lat, d, cur) < 0), None)
+            if delta is not None:
+                break
+        if delta is None:
             break
-        candidates = [
-            d for d in root_slice(lat, ov, bound) if inner(lat, d, cur) < 0
-        ]
-        if not candidates:
-            break
-        delta = min(candidates, key=lambda d: (inner(lat, d, ov), d))
         coupling = inner(lat, cur, delta)
         cur = tuple(c + coupling * d for c, d in zip(cur, delta))
         if norm(lat, cur) != 0:

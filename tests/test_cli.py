@@ -80,6 +80,43 @@ def test_height_env_default(capsys, tmp_path, monkeypatch):
     assert doc["result"]["isotropic_unknown_height"] == "2"
 
 
+def test_height_zero_is_not_the_default(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("K3LAG_HEIGHT", raising=False)
+    code, doc = run_cli(
+        capsys,
+        ["info", "--height", "0"],
+        {"lattice": {"gram": [["2", "0"], ["0", "-3"]]}},
+        tmp_path,
+    )
+    assert code == 2
+    assert doc["error"]["code"] == "bad_height"
+
+
+def test_negative_height_exits_2(capsys, tmp_path):
+    code, doc = run_cli(
+        capsys,
+        ["info", "--height", "-1"],
+        {"lattice": {"gram": [["2", "0"], ["0", "-3"]]}},
+        tmp_path,
+    )
+    assert code == 2
+    assert doc["error"]["code"] == "bad_height"
+
+
+def test_verify_info_with_zero_height_exits_2(capsys, tmp_path):
+    code, doc = run_cli(
+        capsys,
+        ["info", "--height", "1"],
+        {"lattice": {"gram": [["2", "0"], ["0", "-3"]]}},
+        tmp_path,
+    )
+    assert code == 3
+    doc["input"]["options"]["height"] = "0"
+    code, vdoc = run_cli(capsys, ["verify"], doc, tmp_path)
+    assert code == 2
+    assert vdoc["error"]["code"] == "bad_height"
+
+
 def test_roots_e8_roundtrip(capsys, tmp_path):
     code, doc = run_cli(capsys, ["roots", "--lattice", "E8"])
     assert code == 0
@@ -146,6 +183,15 @@ def test_realize_not_saturated(capsys, tmp_path):
     assert code == 0
     assert doc["result"]["ok"] is False
     assert doc["result"]["failing_condition"] == "NotSaturated"
+
+
+def test_realize_wrong_row_length_exits_2(capsys, tmp_path):
+    rows = [["1", "0", "0", "0", "0"]]
+    code, doc = run_cli(
+        capsys, ["realize"], {"host": {"gram": U3_GRAM}, "sublattice": rows}, tmp_path
+    )
+    assert code == 2
+    assert doc["error"]["code"] == "bad_sublattice"
 
 
 def test_syz_fixture_and_verify(capsys, tmp_path):

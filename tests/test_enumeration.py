@@ -208,6 +208,26 @@ def test_root_slice_fixture(U_minus2, U):
 def test_root_slice_requires_positive(U_minus2):
     with pytest.raises(NotPositive):
         root_slice(U_minus2, (0, 0, 1), 3)
+    with pytest.raises(ValueError):
+        root_slice(U_minus2, (3, 2, 1), 3, -1)
+
+
+def test_root_slice_lower_end_matches_brute():
+    # one brute listing per host, cut to every window lower < delta.w < bound;
+    # no root of these slices has a coordinate above 3, so box 12 is ample
+    hosts_and_w = [
+        (direct_sum(hyperbolic_plane(), from_diagonal([-2])), (3, 2, 1)),
+        (direct_sum(hyperbolic_plane(), from_diagonal([-4])), (2, 3, -1)),
+        (direct_sum(hyperbolic_plane(), from_diagonal([-6])), (3, 3, 1)),
+    ]
+    for lat, w in hosts_and_w:
+        brute = brute_root_slice(lat.gram, w, 6, box=12)
+        assert brute
+        for lower in range(0, 6):
+            for bound in range(max(1, lower), 7):
+                want = [d for d in brute if lower < inner(lat, d, w) < bound]
+                assert root_slice(lat, w, bound, lower) == want
+        assert root_slice(lat, w, 6, 0) == root_slice(lat, w, 6)
 
 
 def test_root_slice_pointwise_and_brute():

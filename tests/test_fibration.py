@@ -2,10 +2,18 @@ import random
 
 import pytest
 
-from k3lag.enumeration import root_slice
+from k3lag.enumeration import root_slice, short_vectors
 from k3lag.errors import NotIsotropic, NotPositive, WrongSide, ZeroVector
-from k3lag.fibration import make_nef, reflection, syz_witness
-from k3lag.lattice import inner, is_primitive, norm
+from k3lag.fibration import NefWalkResult, make_nef, reflection, syz_witness
+from k3lag.lattice import (
+    direct_sum,
+    e8_lattice,
+    from_diagonal,
+    hyperbolic_plane,
+    inner,
+    is_primitive,
+    norm,
+)
 
 from conftest import sample_positive_primitive, v22
 
@@ -60,22 +68,92 @@ def test_make_nef_final_certificate(U_minus2):
         assert inner(U_minus2, d, final) >= 0
 
 
+def _isotropic_starts(lat, omega, radius):
+    box = range(-radius, radius + 1)
+    return [
+        (a, b, c)
+        for a in box
+        for b in box
+        for c in box
+        if (a, b, c) != (0, 0, 0)
+        and norm(lat, (a, b, c)) == 0
+        and inner(lat, (a, b, c), omega) > 0
+    ]
+
+
 def test_make_nef_walk_soundness_random(U_minus2):
     rng = random.Random(55)
     omega = (3, 2, 1)
-    isotropics = []
-    for a in range(-4, 5):
-        for b in range(-4, 5):
-            for c in range(-4, 5):
-                v = (a, b, c)
-                if any(v) and norm(U_minus2, v) == 0 and inner(U_minus2, v, omega) > 0:
-                    isotropics.append(v)
+    isotropics = _isotropic_starts(U_minus2, omega, 4)
     assert isotropics
     for v in rng.sample(isotropics, min(12, len(isotropics))):
         res = make_nef(U_minus2, omega, v)
         assert norm(U_minus2, res.nef_class) == 0
         assert inner(U_minus2, res.nef_class, omega) > 0
         assert res.pairing_trace[0] == inner(U_minus2, v, omega)
+
+
+def reference_make_nef(lat, omega, ell):
+    """The full-slice walk: enumerate 0 < delta.omega < ell.omega each step
+    and take the negative-pairing root of minimal (delta.omega, delta)."""
+    cur = tuple(ell)
+    trace = [inner(lat, cur, omega)]
+    used = []
+    while trace[-1] > 1:
+        candidates = [
+            d for d in root_slice(lat, omega, trace[-1]) if inner(lat, d, cur) < 0
+        ]
+        if not candidates:
+            break
+        delta = min(candidates, key=lambda d: (inner(lat, d, omega), d))
+        coupling = inner(lat, cur, delta)
+        cur = tuple(c + coupling * d for c, d in zip(cur, delta))
+        used.append(delta)
+        trace.append(inner(lat, cur, omega))
+    return NefWalkResult(cur, tuple(used), tuple(trace))
+
+
+@pytest.mark.parametrize("d", [-2, -4])
+def test_make_nef_matches_full_slice_walk_rank3(d):
+    lat = direct_sum(hyperbolic_plane(), from_diagonal([d]))
+    omega = (3, 2, 1)
+    starts = _isotropic_starts(lat, omega, 6)
+    assert len(starts) >= 10
+    for ell in random.Random(17 - d).sample(starts, 10):
+        assert make_nef(lat, omega, ell) == reference_make_nef(lat, omega, ell)
+
+
+def test_make_nef_matches_full_slice_walk_u_e8():
+    e8 = e8_lattice()
+    lat = direct_sum(hyperbolic_plane(), e8)
+    omega = (3, 2) + (0,) * 8
+    rng = random.Random(3)
+    short = short_vectors(e8, 4)
+    for k, count in ((1, 2), (2, 1)):
+        rs = [r for r in short if norm(e8, r) == -2 * k]
+        for r in rng.sample(rs, count):
+            ell = (k, 1) + r
+            res = make_nef(lat, omega, ell)
+            assert res == reference_make_nef(lat, omega, ell)
+            assert res.pairing_trace[0] == 2 * k + 3
+
+
+def test_make_nef_u_e8_pinned_walk():
+    # recorded from the full-slice walk, which needs ~18 s for this start
+    lat = direct_sum(hyperbolic_plane(), e8_lattice())
+    omega = (3, 2) + (0,) * 8
+    res = make_nef(lat, omega, (4, 1, 0, 0, 0, 0, 1, -1, 0, -1))
+    assert res == NefWalkResult(
+        nef_class=(1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        reflections=(
+            (1, 0, -2, -2, -3, -4, -3, -3, -2, -1),
+            (1, 0, -1, -2, -2, -3, -2, -2, -1, -1),
+            (1, 0, 1, 1, 1, 1, 1, 0, 0, 0),
+            (1, 0, 2, 3, 4, 6, 5, 4, 3, 1),
+            (-1, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+        ),
+        pairing_trace=(11, 9, 7, 5, 3, 2),
+    )
 
 
 def test_syz_witness_fixtures(K3):
