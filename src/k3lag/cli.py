@@ -123,9 +123,10 @@ def _default_height(args) -> int:
     env = os.environ.get(HEIGHT_ENV)
     if env is not None:
         try:
-            return max(1, int(env))
+            height = int(env)
         except ValueError:
             raise ser.InputError("bad_height", f"{HEIGHT_ENV} must be an integer")
+        return _checked_height(height)
     return DEFAULT_HEIGHT
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from . import intlinalg as la
-from .enumeration import find_positive, roots_generate
+from .enumeration import RootReport, find_positive, roots_generate
 from .errors import (
     DegenerateLattice,
     HasPositive,
@@ -51,7 +51,8 @@ class ClassifyReport:
 
     PositiveWitness: a vector of positive square exists; equality holds.
     Split: the lattice is (isotropic radical) + (negative definite part N);
-    equality holds iff the roots of N generate it with index 1.
+    equality holds iff the roots of N generate it with index 1. root_report
+    keeps N's roots, so certificates reuse them instead of enumerating again.
     """
 
     case: str
@@ -61,6 +62,7 @@ class ClassifyReport:
     n_part: Optional[Lattice] = None
     n_basis: Optional[la.IntMatrix] = None
     roots_generate: Optional[bool] = None
+    root_report: Optional[RootReport] = None
 
 
 @dataclass(frozen=True)
@@ -228,6 +230,7 @@ def classify(lat: Lattice) -> ClassifyReport:
         n_part=n_lat,
         n_basis=n_rows,
         roots_generate=report.generates,
+        root_report=report,
     )
 
 
@@ -269,7 +272,7 @@ def certificate_for(host: Lattice, omega, gamma) -> SlagCertificate:
         for c, row in zip(rad_coeffs, rad.basis)
         if c != 0
     ]
-    roots = roots_generate(report.n_part).roots
+    roots = report.root_report.roots
     solution = (
         la.solve_left(roots, n_coeffs, len(n_coeffs)) if roots else None
     )

@@ -1,17 +1,20 @@
 """Complete, deterministic vector enumeration.
 
-Short vectors in definite lattices via exact Fincke-Pohst (rational
-Cholesky-style decomposition, integer interval bounds computed with isqrt,
-never a float), root reports, positive/isotropic searches, and the bounded
-root slices that drive the nef reflection walk. Completeness is the
-contract: enumerations return exactly the stated finite sets.
+Short vectors in definite lattices and the bounded root slices that drive
+the nef reflection walk share one Fincke-Pohst engine, _ellipsoid_points.
+Rational data stays at its edge: the decomposition of the form and the
+slice centre are scaled once per call to integer level weights, integer
+offsets and an integer bound, so the search itself runs on ints alone,
+with integer interval bounds from isqrt (no Fraction in the loop, never a
+float). Also root reports and positive/isotropic searches. Completeness is
+the contract: enumerations return exactly the stated finite sets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, lcm
 from typing import Iterator, List, Optional, Tuple
 
 from . import intlinalg as la
@@ -53,32 +56,6 @@ class RootReport:
     generation_basis: Optional[Sublattice]
 
 
-def _floor_sqrt(t: Fraction) -> int:
-    """floor(sqrt(t)) for a nonnegative rational, exactly."""
-    if t < 0:
-        raise ValueError("negative radicand")
-    return isqrt(t.numerator * t.denominator) // t.denominator
-
-
-def _floor_add_sqrt(r: Fraction, t: Fraction) -> int:
-    """floor(r + sqrt(t)) for rational r and nonnegative rational t."""
-    k = (r.numerator // r.denominator) + _floor_sqrt(t)
-    # k is within 1 of the answer; settle it with exact comparisons
-    while True:
-        d = k + 1 - r
-        if d <= 0 or d * d <= t:
-            k += 1
-        else:
-            break
-    while True:
-        d = k - r
-        if d > 0 and d * d > t:
-            k -= 1
-        else:
-            break
-    return k
-
-
 def _decompose(pd) -> Tuple[List[Fraction], List[List[Fraction]]]:
     """Q(y) = sum_k d[k] (y_k + sum_{j>k} mu[k][j] y_j)^2 for pos. def. Q."""
     n = len(pd)
@@ -104,37 +81,53 @@ def _ellipsoid_points(
     """Integer points x with Q(x - center) <= bound, with the exact value.
 
     dec = (d, mu) is _decompose of Q, so callers enumerating several
-    ellipsoids of one form decompose it once. Deterministic order; complete
-    by construction of the level bounds.
+    ellipsoids of one form decompose it once. The rational data is scaled
+    to integers once per call: with s_k the denominator of row k of mu and
+    q that of the centre, L_k = q s_k (x_k - c_k + sum_j mu_kj (x_j - c_j))
+    is an integer and Q(x - c) = sum_k e_k L_k^2 / D for integer weights
+    e_k = D d_k / (q s_k)^2. The search then runs on ints alone: level k
+    admits |L_k| <= isqrt(rest // e_k). Levels go n-1 down to 0 and values
+    ascend within a level, so the order is deterministic.
     """
     d, mu = dec
     n = len(d)
+    bound = Fraction(bound)
     if bound < 0:
         return
     if n == 0:
         yield (), Fraction(0)
         return
+    q = lcm(*(c.denominator for c in center))
+    cq = [int(c * q) for c in center]  # q * centre
+    s = [lcm(*(m.denominator for m in mu[k][k + 1:])) for k in range(n)]
+    terms = [
+        [(j, int(mu[k][j] * s[k])) for j in range(k + 1, n) if mu[k][j]]
+        for k in range(n)
+    ]
+    step = [q * sk for sk in s]  # L_k = step_k * x_k + (terms of levels > k)
+    weights = [d[k] / (step[k] * step[k]) for k in range(n)]
+    scale = lcm(bound.denominator, *(w.denominator for w in weights))
+    e = [int(w * scale) for w in weights]
+    total = int(bound * scale)
+
     x = [0] * n
+    y = [0] * n  # q * (x_j - c_j) on the levels already fixed
 
-    def rec(k: int, budget: Fraction) -> Iterator[Tuple[IntVec, Fraction]]:
-        c = -center[k]
-        for j in range(k + 1, n):
-            c += mu[k][j] * (x[j] - center[j])
-        t = budget / d[k]
-        hi = _floor_add_sqrt(-c, t)
-        lo = -_floor_add_sqrt(c, t)
-        for v in range(lo, hi + 1):
+    def rec(k: int, rest: int) -> Iterator[Tuple[IntVec, Fraction]]:
+        c = -s[k] * cq[k]
+        for j, m in terms[k]:
+            c += m * y[j]
+        r = isqrt(rest // e[k])
+        for v in range(-((r + c) // step[k]), (r - c) // step[k] + 1):
             x[k] = v
-            used = d[k] * (v + c) ** 2
-            if used > budget:
-                continue
-            if k == 0:
-                yield tuple(x), bound - (budget - used)
+            t = step[k] * v + c
+            if k:
+                y[k] = q * v - cq[k]
+                yield from rec(k - 1, rest - e[k] * t * t)
             else:
-                yield from rec(k - 1, budget - used)
-        x[k] = 0
+                yield tuple(x), Fraction(total - rest + e[0] * t * t, scale)
 
-    yield from rec(n - 1, bound)
+    yield from rec(n - 1, total)
 
 
 def _require_negative_definite(lat: Lattice) -> None:

@@ -19,7 +19,7 @@ from .errors import (
     WrongSide,
     ZeroVector,
 )
-from .exact import rational_direction
+from .exact import content, rational_direction
 from .lattice import Isometry, Lattice, gram_row, inner, is_primitive, norm
 
 IntVec = Tuple[int, ...]
@@ -68,15 +68,16 @@ def reflection(lat: Lattice, delta) -> Isometry:
 def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
     """Reflect ell into the chamber where no slice root pairs negatively.
 
-    Each step scans the root levels a = delta.omega = 1, 2, ... below the
+    Each step scans the root levels a = delta.omega = d, 2d, ... below the
     current ell.omega (the reflected pairing stays positive exactly when
-    delta.omega is below that bound) and stops at the first level holding
-    roots with delta.ell < 0; the lexicographically smallest of those is
-    the reflection. So the tie-break is minimal delta.omega, then
-    lexicographic order, and only the levels up to the chosen one are
-    enumerated. Levels depend on omega alone, so later steps reuse them.
-    Each step preserves ell.ell = 0 and strictly decreases ell.omega, so
-    the walk terminates.
+    delta.omega is below that bound), where d is the content of omega's
+    pairing row, since no root pairs with omega outside those multiples.
+    It stops at the first level holding roots with delta.ell < 0; the
+    lexicographically smallest of those is the reflection. So the tie-break
+    is minimal delta.omega, then lexicographic order, and only the levels
+    up to the chosen one are enumerated. Levels depend on omega alone, so
+    later steps reuse them. Each step preserves ell.ell = 0 and strictly
+    decreases ell.omega, so the walk terminates.
     """
     ov = tuple(int(c) for c in omega)
     lv = tuple(int(c) for c in ell)
@@ -88,13 +89,14 @@ def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
     pairing = inner(lat, lv, ov)
     if pairing <= 0:
         raise WrongSide(f"ell.omega = {pairing} must be positive")
+    step = content(gram_row(lat, ov))
     trace = [pairing]
     used = []
     cur = lv
     levels = {}  # a -> sorted roots with delta.omega = a
     while True:
         delta = None
-        for a in range(1, trace[-1]):
+        for a in range(step, trace[-1], step):
             if a not in levels:
                 levels[a] = root_slice(lat, ov, a + 1, a - 1)
             delta = next((d for d in levels[a] if inner(lat, d, cur) < 0), None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
@@ -50,8 +51,7 @@ def vecmat(v: Sequence, m: Sequence[Sequence]) -> tuple:
         raise ValueError("vecmat shape mismatch")
     if not m:
         return ()
-    n = len(m[0])
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(n))
+    return tuple(sum(map(mul, v, col)) for col in zip(*m))
 
 
 def dot(u: Sequence, v: Sequence):
@@ -101,17 +101,13 @@ def gcd_combination(values: Sequence[int]) -> Tuple[int, IntVector]:
     return g, tuple(coeffs)
 
 
-def hnf_with_transform(
-    rows: Sequence[Sequence[int]], ncols: int
-) -> Tuple[IntMatrix, IntMatrix]:
-    """Row HNF with a unimodular transform: U * rows = H.
+def _echelon(work: List[List[int]], ncols: int) -> None:
+    """Row HNF of work in place, with pivots taken in the first ncols columns.
 
-    H keeps its zero rows (sorted to the bottom) so that U rows aligned with
-    them span the left kernel.
+    Row operations act on whole rows, so columns past ncols (such as an
+    appended identity) record the transform. Zero rows end at the bottom.
     """
-    work = [list(map(int, r)) for r in rows]
     nr = len(work)
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     piv = 0
     for col in range(ncols):
         # choose a pivot row and clear the column below it via gcd steps
@@ -119,7 +115,6 @@ def hnf_with_transform(
         if k is None:
             continue
         work[piv], work[k] = work[k], work[piv]
-        u[piv], u[k] = u[k], u[piv]
         for i in range(piv + 1, nr):
             if not work[i][col]:
                 continue
@@ -127,30 +122,49 @@ def hnf_with_transform(
             g, x, y = xgcd(a, b)
             aa, bb = a // g, b // g
             rp, ri = work[piv], work[i]
+            if x == 1 and y == 0:
+                # a divides b with a > 0: the pivot row stays as it is
+                work[i] = [q - bb * p for p, q in zip(rp, ri)]
+                continue
             work[piv] = [x * p + y * q for p, q in zip(rp, ri)]
             work[i] = [-bb * p + aa * q for p, q in zip(rp, ri)]
-            up, ui = u[piv], u[i]
-            u[piv] = [x * p + y * q for p, q in zip(up, ui)]
-            u[i] = [-bb * p + aa * q for p, q in zip(up, ui)]
         if work[piv][col] < 0:
             work[piv] = [-x for x in work[piv]]
-            u[piv] = [-x for x in u[piv]]
         p = work[piv][col]
         for i in range(piv):
             q = work[i][col] // p
             if q:
                 work[i] = [a - q * b for a, b in zip(work[i], work[piv])]
-                u[i] = [a - q * b for a, b in zip(u[i], u[piv])]
         piv += 1
         if piv == nr:
             break
-    return freeze(work), freeze(u)
+
+
+def hnf_with_transform(
+    rows: Sequence[Sequence[int]], ncols: int
+) -> Tuple[IntMatrix, IntMatrix]:
+    """Row HNF with a unimodular transform: U * rows = H.
+
+    H keeps its zero rows (sorted to the bottom) so that U rows aligned with
+    them span the left kernel. U comes from running the elimination on the
+    rows augmented with the identity.
+    """
+    nr = len(rows)
+    width = len(rows[0]) if rows else ncols
+    work = [
+        list(map(int, r)) + [1 if i == j else 0 for j in range(nr)]
+        for i, r in enumerate(rows)
+    ]
+    _echelon(work, ncols)
+    h = tuple(tuple(r[:width]) for r in work)
+    return h, tuple(tuple(r[width:]) for r in work)
 
 
 def hnf(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:
     """Canonical row HNF with zero rows dropped."""
-    h, _ = hnf_with_transform(rows, ncols)
-    return tuple(r for r in h if any(r))
+    work = [list(map(int, r)) for r in rows]
+    _echelon(work, ncols)
+    return tuple(tuple(r) for r in work if any(r))
 
 
 def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:

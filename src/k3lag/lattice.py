@@ -16,6 +16,10 @@ from . import intlinalg as la
 from .errors import DegenerateLattice, RankMismatch
 from .exact import MarkerPoly, content, primitivize
 
+# entries kept per memoized lattice function (signature, radical, Gram
+# inverse); least recently used lattices are dropped beyond it
+CACHE_SIZE = 256
+
 IntVec = Tuple[int, ...]
 QVec = Tuple[Fraction, ...]
 VectorLike = Sequence[Union[int, Fraction]]
@@ -253,7 +257,7 @@ class Isometry:
         return cls(la.identity(rank))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _gram_inverse(lat: Lattice) -> la.IntMatrix:
     if abs(lat.det()) != 1:
         raise DegenerateLattice("gram matrix is not unimodular")
@@ -343,7 +347,7 @@ def orth_complement(lat: Lattice, sub) -> Sublattice:
     return Sublattice(lat, la.int_kernel(pairing_rows, lat.rank))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def signature(lat: Lattice) -> Tuple[int, int, int]:
     """(p, n, z) by exact symmetric Gaussian diagonalization over Q."""
     diag, _ = la.symmetric_diagonalize(lat.gram)
@@ -352,7 +356,7 @@ def signature(lat: Lattice) -> Tuple[int, int, int]:
     return p, n, lat.rank - p - n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def radical(lat: Lattice) -> Sublattice:
     """{x : x.y = 0 for all y}: the integer kernel of the Gram matrix."""
     return Sublattice(lat, la.int_kernel(lat.gram, lat.rank))

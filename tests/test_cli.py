@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from k3lag.cli import main
 
 U3_GRAM = [
@@ -85,6 +87,19 @@ def test_height_zero_is_not_the_default(capsys, tmp_path, monkeypatch):
     code, doc = run_cli(
         capsys,
         ["info", "--height", "0"],
+        {"lattice": {"gram": [["2", "0"], ["0", "-3"]]}},
+        tmp_path,
+    )
+    assert code == 2
+    assert doc["error"]["code"] == "bad_height"
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_height_env_below_one_exits_2(capsys, tmp_path, monkeypatch, value):
+    monkeypatch.setenv("K3LAG_HEIGHT", value)
+    code, doc = run_cli(
+        capsys,
+        ["info"],
         {"lattice": {"gram": [["2", "0"], ["0", "-3"]]}},
         tmp_path,
     )

@@ -38,6 +38,7 @@ from k3lag.lattice import (
     norm,
     signature,
 )
+from k3lag import criteria
 from k3lag import intlinalg as la
 
 from conftest import v6, v22
@@ -232,6 +233,28 @@ def test_certificate_split_case_with_roots(K3):
     assert sub == block
     assert verify_certificate(sub, gamma, cert)
     assert all(norm(K3, cls) == -2 for _, cls in cert.terms)
+
+
+def test_split_certificate_enumerates_roots_once(K3, monkeypatch):
+    # certificate_for reuses the root list classify already holds
+    real = criteria.roots_generate
+    calls = []
+
+    def counting(lat):
+        calls.append(lat)
+        return real(lat)
+
+    monkeypatch.setattr(criteria, "roots_generate", counting)
+    e8_rows = [tuple(1 if j == 6 + i else 0 for j in range(22)) for i in range(8)]
+    witness, _ = realize_witness(K3, Sublattice.from_generators(K3, e8_rows))
+    gamma = v22(*([0] * 6 + [2, -1, 0, 1, 0, 0, 1, 0]))
+    for expected in (1, 2):
+        cert = certificate_for(K3, witness, gamma)
+        assert len(calls) == expected
+        assert verify_certificate(lag_lattice(K3, witness), gamma, cert)
+    rep = classify(lag_lattice(K3, witness).as_lattice())
+    assert rep.case == "Split" and rep.root_report.generates
+    assert rep.root_report.roots == real(rep.n_part).roots
 
 
 def test_certificate_split_obstruction(U3):

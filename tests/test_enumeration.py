@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import ceil, floor, isqrt
 
 import pytest
 
 from k3lag.enumeration import (
     Unknown,
+    _decompose,
+    _ellipsoid_points,
     find_isotropic,
     find_positive,
     root_slice,
@@ -73,6 +75,33 @@ def brute_root_slice(gram, w, bound, box=30):
         if norm(lat, x) == -2 and 0 < inner(lat, x, w) < bound:
             out.append(tuple(x))
     return sorted(out)
+
+
+def brute_ellipsoid(pd, center, bound):
+    """(x, Q(x - center)) for all integer x with Q(x - center) <= bound.
+
+    Box scan with |x_i - c_i|^2 <= bound * (Q^-1)_ii, listed in the order
+    the enumeration engine promises: x[n-1] is fixed first and every
+    coordinate ascends.
+    """
+    n = len(pd)
+    inv = _frac_inverse(pd)
+    box = []
+    for i in range(n):
+        radius2 = bound * inv[i][i]
+        r = isqrt(radius2.numerator // radius2.denominator) + 1
+        box.append(range(floor(center[i]) - r, ceil(center[i]) + r + 1))
+    out = []
+    for x in product(*box):
+        q = _form_value(pd, [a - c for a, c in zip(x, center)])
+        if q <= bound:
+            out.append((x, q))
+    return sorted(out, key=lambda item: item[0][::-1])
+
+
+def _form_value(pd, y):
+    n = len(pd)
+    return sum(y[i] * pd[i][j] * y[j] for i in range(n) for j in range(n))
 
 
 # --- short_vectors --------------------------------------------------------
@@ -248,3 +277,40 @@ def test_root_slice_pointwise_and_brute():
                 assert norm(lat, d) == -2
                 assert 0 < inner(lat, d, w) < bound
             assert got == brute_root_slice(lat.gram, w, bound)
+
+
+# --- the integer-scaled ellipsoid engine ---------------------------------
+
+
+def test_ellipsoid_points_against_box_scan():
+    rng = random.Random(907)
+    forms = [((2, 1), (1, 3)), ((2, 1, 0), (1, 3, 1), (0, 1, 2))]
+    for rank in (2, 3, 3, 4):
+        gram = random_negdef_gram(rng, rank)
+        forms.append(tuple(tuple(-g for g in row) for row in gram))
+    # mu of the first form has denominator 2
+    assert _decompose(forms[0])[1][0][1] == Fraction(1, 2)
+    on_boundary = 0
+    for pd in forms:
+        dec = _decompose(pd)
+        for den in (2, 3, 6):
+            center = tuple(
+                Fraction(rng.randint(-2 * den, 2 * den), den) for _ in pd
+            )
+            # the value at an integer point puts that point on the boundary
+            p = [round(c) + rng.randint(-1, 1) for c in center]
+            attained = _form_value(pd, [a - c for a, c in zip(p, center)])
+            other = Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 5)))
+            for bound in (attained, other):
+                got = list(_ellipsoid_points(dec, center, bound))
+                assert got == brute_ellipsoid(pd, center, bound), (pd, center, bound)
+                on_boundary += sum(1 for _, q in got if q == bound)
+    assert on_boundary >= 3 * len(forms)
+
+
+def test_ellipsoid_points_empty_and_zero_rank():
+    dec = _decompose(((2, 1), (1, 3)))
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert list(_ellipsoid_points(dec, (half, Fraction(0)), Fraction(-1))) == []
+    assert list(_ellipsoid_points(dec, (half, third), Fraction(0))) == []
+    assert list(_ellipsoid_points(([], []), (), Fraction(3))) == [((), 0)]

@@ -138,6 +138,30 @@ def test_make_nef_matches_full_slice_walk_u_e8():
             assert res.pairing_trace[0] == 2 * k + 3
 
 
+def test_make_nef_content_two_omega_matches_full_slice_walk():
+    # omega = (2, 2, 0...) pairs every vector to an even value, so the walk
+    # scans only the even levels; the result must not change
+    omega3 = (2, 2, 0)
+    rank3 = direct_sum(hyperbolic_plane(), from_diagonal([-2]))
+    starts = _isotropic_starts(rank3, omega3, 6)
+    walks = [
+        (rank3, omega3, ell) for ell in random.Random(23).sample(starts, 10)
+    ]
+    e8 = e8_lattice()
+    lat = direct_sum(hyperbolic_plane(), e8)
+    short = short_vectors(e8, 4)
+    rng = random.Random(29)
+    for k in (1, 2):
+        rs = [r for r in short if norm(e8, r) == -2 * k]
+        walks += [(lat, (2, 2) + (0,) * 8, (k, 1) + r) for r in rng.sample(rs, 2)]
+    reflected = 0
+    for host, omega, ell in walks:
+        res = make_nef(host, omega, ell)
+        assert res == reference_make_nef(host, omega, ell)
+        reflected += len(res.reflections)
+    assert reflected > 0
+
+
 def test_make_nef_u_e8_pinned_walk():
     # recorded from the full-slice walk, which needs ~18 s for this start
     lat = direct_sum(hyperbolic_plane(), e8_lattice())

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -54,6 +55,38 @@ def test_hnf_transform_and_canonicality(m):
         assert row[p] > 0
         for k in range(i):
             assert 0 <= hh[k][p] < row[p]
+
+
+tall_matrices = st.integers(min_value=1, max_value=6).flatmap(
+    lambda m: st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=m, max_size=m),
+        min_size=m + 1,
+        max_size=30,
+    )
+)
+
+
+def _check_hnf_matches_transform(m):
+    nc = len(m[0])
+    h, u = la.hnf_with_transform(m, nc)
+    assert la.matmul(u, m) == h
+    assert la.hnf(m, nc) == tuple(r for r in h if any(r))
+
+
+@given(m=tall_matrices)
+@settings(max_examples=80, deadline=None)
+def test_hnf_equals_nonzero_rows_of_transform_hnf(m):
+    _check_hnf_matches_transform(m)
+
+
+def test_hnf_equals_transform_hnf_30_by_6():
+    rng = random.Random(30)
+    for _ in range(5):
+        m = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(30)]
+        _check_hnf_matches_transform(m)
+        h, u = la.hnf_with_transform(m, 6)
+        assert abs(la.det(u)) == 1
+        assert len(la.hnf(m, 6)) == 6
 
 
 @given(m=matrices)
