@@ -505,15 +505,7 @@ def _verify_realize(inp: dict, result: dict, failures: list) -> None:
     bound = ser.dec_frac(result["eps_bound"], "eps_bound")
     if bound <= 0:
         failures.append("eps_bound is not positive")
-    from . import intlinalg as la
-    from .lattice import gram_row
-
-    joint_rows = [la.integral_row(gram_row(host, witness.base))]
-    joint_rows += [
-        la.integral_row(gram_row(host, y)) for _, y in witness.terms
-    ]
-    joint = la.int_kernel(joint_rows, host.rank)
-    if joint != sub.basis:
+    if lag_lattice(host, witness).basis != sub.basis:
         failures.append("witness joint kernel differs from the sublattice")
 
 

@@ -109,6 +109,7 @@ def lag_lattice(host: Lattice, omega) -> Sublattice:
         rows += [la.integral_row(gram_row(host, y)) for _, y in omega.terms]
     else:
         om = tuple(Fraction(c) for c in omega)
+        om = tuple(map(int, om)) if all(c.denominator == 1 for c in om) else om
         if len(om) != host.rank:
             raise RankMismatch("omega rank differs from host rank")
         if all(c == 0 for c in om):

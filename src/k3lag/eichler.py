@@ -25,6 +25,7 @@ from .errors import (
 )
 from .exact import content
 from .lattice import Isometry, Lattice, gram_row, inner, is_primitive, norm
+from .lattice import _gram_inverse
 
 IntVec = Tuple[int, ...]
 
@@ -290,30 +291,34 @@ def _rest_gcd_vector(lat: Lattice, z: IntVec) -> IntVec:
     return (0, 0, 0, 0) + coeffs
 
 
-def orth_witnesses(lat: Lattice, w) -> Tuple[IntVec, IntVec]:
-    """(v, ell) with v.v = 2, ell.ell = 0, ell nonzero primitive, both _|_ w.
+def _block_witnesses(
+    lat: Lattice, w: IntVec
+) -> Tuple[IntVec, IntVec, CanonicalFormResult]:
+    """(v, ell, canonical_form(lat, w)) with v = g^{-1}(e2 + f2), ell = g^{-1}(e2).
 
-    Pulled back through the canonical form: v = g^{-1}(e2 + f2) and
-    ell = g^{-1}(e2).
+    g^{-1} = G^{-1} g^T G is applied to e2 and f2 by matrix-vector products
+    (G e_i is row i of G); the inverse isometry is never formed.
     """
-    wv = tuple(int(c) for c in w)
-    w2 = norm(lat, wv)
+    w2 = norm(lat, w)
     if w2 <= 0:
         raise NotPositive(f"w.w = {w2} must be positive")
-    res = canonical_form(lat, wv)
-    ginv = res.g.inverse(lat)
-    e2 = lat.basis_vector(2)
-    f2 = lat.basis_vector(3)
-    v = ginv.apply(tuple(a + b for a, b in zip(e2, f2)))
-    ell = ginv.apply(e2)
-    checks = (
+    res = canonical_form(lat, w)
+    ginv = _gram_inverse(lat)
+    ell, u = (la.matvec(ginv, la.vecmat(lat.gram[i], res.g.matrix)) for i in (2, 3))
+    v = tuple(a + b for a, b in zip(ell, u))
+    if not (
         norm(lat, v) == 2
         and norm(lat, ell) == 0
-        and inner(lat, v, wv) == 0
-        and inner(lat, ell, wv) == 0
+        and inner(lat, v, w) == 0
+        and inner(lat, ell, w) == 0
         and is_primitive(ell)
         and any(ell)
-    )
-    if not checks:
+    ):
         raise ImpossibleState("orthogonal witnesses failed their contract")
+    return v, ell, res
+
+
+def orth_witnesses(lat: Lattice, w) -> Tuple[IntVec, IntVec]:
+    """(v, ell) with v.v = 2, ell.ell = 0, ell nonzero primitive, both _|_ w."""
+    v, ell, _ = _block_witnesses(lat, tuple(int(c) for c in w))
     return v, ell

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .eichler import CanonicalFormResult, canonical_form
+from .eichler import CanonicalFormResult, _block_witnesses
 from .enumeration import root_slice
 from .errors import (
     ImpossibleState,
@@ -20,7 +20,7 @@ from .errors import (
     ZeroVector,
 )
 from .exact import content, rational_direction
-from .lattice import Isometry, Lattice, gram_row, inner, is_primitive, norm
+from .lattice import Isometry, Lattice, gram_row, inner, norm
 
 IntVec = Tuple[int, ...]
 
@@ -127,22 +127,5 @@ def syz_witness(lat: Lattice, w) -> Tuple[IntVec, SyzReport]:
     wp = rational_direction(w)
     if not any(wp):
         raise ZeroVector("w must be nonzero")
-    w2 = norm(lat, wp)
-    if w2 <= 0:
-        raise NotPositive(f"w.w = {w2} must be positive")
-    res = canonical_form(lat, wp)
-    ginv = res.g.inverse(lat)
-    e2 = lat.basis_vector(2)
-    f2 = lat.basis_vector(3)
-    v = ginv.apply(tuple(a + b for a, b in zip(e2, f2)))
-    ell = ginv.apply(e2)
-    if not (
-        norm(lat, ell) == 0
-        and inner(lat, ell, wp) == 0
-        and norm(lat, v) == 2
-        and inner(lat, v, wp) == 0
-        and any(ell)
-        and is_primitive(ell)
-    ):
-        raise ImpossibleState("witness contract failed")
+    v, ell, res = _block_witnesses(lat, wp)
     return ell, SyzReport(wp, v, ell, res)

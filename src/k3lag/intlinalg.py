@@ -4,7 +4,10 @@ Matrices are row-major tuples of tuples. Canonical form throughout is the
 row Hermite normal form: positive pivots, entries above a pivot reduced into
 [0, pivot), zero rows dropped (or sorted to the bottom when a transform is
 requested). Ranks in this package stay small (<= 22), so the plain
-O(n^3)-with-big-ints algorithms are entirely adequate.
+O(n^3)-with-big-ints algorithms are entirely adequate. Determinants and
+the congruence diagonalization behind signatures (an integer diagonal and
+a scaled integer basis) are fraction-free Bareiss eliminations over Z;
+Fraction appears only in the rational routines (inverse, denominators).
 """
 from __future__ import annotations
 
@@ -305,10 +308,6 @@ def smith_invariants(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
 # rational routines
 
 
-def frac_rows(rows: Sequence[Sequence]) -> Tuple[Tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def integral_row(frac_row: Sequence) -> Tuple[int, ...]:
     """Clear denominators by the positive lcm, preserving the kernel."""
     fracs = [Fraction(x) for x in frac_row]
@@ -351,45 +350,65 @@ def int_inverse(m: Sequence[Sequence[int]]) -> IntMatrix:
 
 def symmetric_diagonalize(
     gram: Sequence[Sequence[int]],
-) -> Tuple[Tuple[Fraction, ...], Tuple[Tuple[Fraction, ...], ...]]:
-    """Congruence diagonalization over Q.
+) -> Tuple[Tuple[int, ...], IntMatrix]:
+    """Congruence diagonalization over Z by fraction-free elimination.
 
-    Returns (diag, basis) with basis rows v_i satisfying v_i G v_j^T =
-    diag[i] * [i == j]. Handles zero pivots and degenerate forms.
+    Returns (diag, basis), integer rows v_i with v_i G v_j^T = diag[i] *
+    [i == j]. Zero pivots get the moves of rational elimination (swap in a
+    later nonzero diagonal entry, else v_k += v_j, then v_k -= 2 v_j if
+    needed; skip when v_k pairs to zero with the rest), and later rows are
+    updated Bareiss-style, (d row_i - a_ik row_k) / prev, exactly. Row k is
+    |prev| times the rational row, and diag[k] = prev * d.
     """
     n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    a = [list(map(int, row)) for row in gram]
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    # a row with a_ik = 0 is only rescaled by d / prev at step k; that is
+    # deferred: row i holds its Bareiss row times last[i] / prev
+    last, diag, prev = [1] * n, [], 1
+
+    def fresh(*rows):
+        for i in rows:
+            if last[i] != prev:
+                a[i][k:] = [x * prev // last[i] for x in a[i][k:]]
+                basis[i] = [x * prev // last[i] for x in basis[i]]
+                last[i] = prev
 
     def add_row(i, j, c):
         # v_i += c v_j, updating the working Gram congruently
+        fresh(i, j)
         basis[i] = [x + c * y for x, y in zip(basis[i], basis[j])]
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        for row in a:
-            row[i] = row[i] + c * row[j]
-
-    def swap(i, j):
-        basis[i], basis[j] = basis[j], basis[i]
-        a[i], a[j] = a[j], a[i]
-        for row in a:
-            row[i], row[j] = row[j], row[i]
+        for row in a[k:]:
+            row[i] += c * row[j]
 
     for k in range(n):
+        # only the block of rows and columns >= k is current
         if a[k][k] == 0:
-            j = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            j = next((i for i in range(k + 1, n) if a[i][i]), None)
             if j is not None:
-                swap(k, j)
+                for m in (a, basis, last):
+                    m[k], m[j] = m[j], m[k]
+                for row in a[k:]:
+                    row[k], row[j] = row[j], row[k]
             else:
-                j = next((i for i in range(k + 1, n) if a[k][i] != 0), None)
-                if j is None:
-                    continue  # v_k pairs to zero with the remaining block
-                add_row(k, j, Fraction(1))
-                if a[k][k] == 0:
-                    add_row(k, j, Fraction(-2))
-        d = a[k][k]
+                j = next((i for i in range(k + 1, n) if a[k][i]), None)
+                if j is not None:
+                    add_row(k, j, 1)
+                    if a[k][k] == 0:
+                        add_row(k, j, -2)
+        fresh(k)
+        d, ak, bk = a[k][k], a[k][k + 1:], basis[k]
+        diag.append(prev * d)
+        if prev < 0:
+            basis[k] = [-x for x in bk]
+        if d == 0:
+            continue  # v_k pairs to zero with the remaining block
         for i in range(k + 1, n):
-            if a[i][k] != 0:
-                add_row(i, k, -a[i][k] / d)
-    return tuple(a[i][i] for i in range(n)), tuple(
-        tuple(row) for row in basis
-    )
+            c, s = a[i][k], last[i]
+            if c:
+                a[i][k + 1:] = [(d * x - c * y) // s for x, y in zip(a[i][k + 1:], ak)]
+                basis[i] = [(d * x - c * y) // s for x, y in zip(basis[i], bk)]
+                last[i] = d
+        prev = d
+    return tuple(diag), tuple(tuple(row) for row in basis)

@@ -349,7 +349,7 @@ def orth_complement(lat: Lattice, sub) -> Sublattice:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def signature(lat: Lattice) -> Tuple[int, int, int]:
-    """(p, n, z) by exact symmetric Gaussian diagonalization over Q."""
+    """(p, n, z) from the signs of a fraction-free diagonalization over Z."""
     diag, _ = la.symmetric_diagonalize(lat.gram)
     p = sum(1 for d in diag if d > 0)
     n = sum(1 for d in diag if d < 0)

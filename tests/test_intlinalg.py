@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3lag import intlinalg as la
+from k3lag.enumeration import find_positive
+from k3lag.lattice import Lattice, norm, signature
 
 
 def test_xgcd_divisible_convention():
@@ -149,3 +152,193 @@ def test_symmetric_diagonalize_congruence():
         for j, vj in enumerate(basis):
             val = sum(vi[a] * Fraction(gram[a][b]) * vj[b] for a in range(3) for b in range(3))
             assert val == (diag[i] if i == j else 0)
+
+
+# --- fraction-free diagonalization against the rational elimination -------
+
+
+def _reference_diagonalize(gram):
+    """Congruence diagonalization over Q by Fraction Gauss-Jordan steps."""
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    basis = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def add_row(i, j, c):
+        basis[i] = [x + c * y for x, y in zip(basis[i], basis[j])]
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for row in a:
+            row[i] = row[i] + c * row[j]
+
+    def swap(i, j):
+        basis[i], basis[j] = basis[j], basis[i]
+        a[i], a[j] = a[j], a[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((i for i in range(k + 1, n) if a[i][i] != 0), None)
+            if j is not None:
+                swap(k, j)
+            else:
+                j = next((i for i in range(k + 1, n) if a[k][i] != 0), None)
+                if j is None:
+                    continue
+                add_row(k, j, Fraction(1))
+                if a[k][k] == 0:
+                    add_row(k, j, Fraction(-2))
+        d = a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                add_row(i, k, -a[i][k] / d)
+    return tuple(a[i][i] for i in range(n)), tuple(tuple(row) for row in basis)
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+def _check_against_reference(gram):
+    n = len(gram)
+    diag, basis = la.symmetric_diagonalize(gram)
+    ref_diag, ref_basis = _reference_diagonalize(gram)
+    assert all(type(x) is int for x in diag)
+    assert all(type(x) is int for row in basis for x in row)
+    for i, vi in enumerate(basis):
+        gv = la.vecmat(vi, gram)
+        for j, vj in enumerate(basis):
+            assert la.dot(gv, vj) == (diag[i] if i == j else 0)
+    assert [_sign(x) for x in diag] == [_sign(x) for x in ref_diag]
+    for row, ref in zip(basis, ref_basis):
+        # a positive multiple of the rational row
+        k = next(j for j, x in enumerate(ref) if x)
+        ratio = Fraction(row[k]) / ref[k]
+        assert ratio > 0 and all(x == ratio * y for x, y in zip(row, ref))
+    p = sum(1 for d in ref_diag if d > 0)
+    q = sum(1 for d in ref_diag if d < 0)
+    assert signature(Lattice(gram)) == (p, q, n - p - q)
+
+
+def _random_symmetric(rng, n, lo=-4, hi=4, zero_diagonal=False):
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = 0 if zero_diagonal and i == j else rng.randint(lo, hi)
+    return tuple(map(tuple, g))
+
+
+def _with_radical(rng, n, r):
+    """P D P^T for a random P and a form D whose last r rows are zero."""
+    d = [[0] * n for _ in range(n)]
+    for i in range(n - r):
+        for j in range(i, n - r):
+            d[i][j] = d[j][i] = rng.randint(-3, 3)
+    p = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    return la.matmul(la.matmul(p, d), la.transpose(p))
+
+
+symmetric_forms = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.lists(
+        st.integers(min_value=-5, max_value=5),
+        min_size=n * (n + 1) // 2,
+        max_size=n * (n + 1) // 2,
+    ).map(lambda upper: _from_upper(n, upper))
+)
+
+
+def _from_upper(n, upper):
+    g = [[0] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = next(it)
+    return tuple(map(tuple, g))
+
+
+@given(gram=symmetric_forms)
+@settings(max_examples=200, deadline=None)
+def test_symmetric_diagonalize_matches_rational_reference(gram):
+    _check_against_reference(gram)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_symmetric_diagonalize_reference_seeds(seed):
+    rng = random.Random(seed)
+    for n in range(9):
+        _check_against_reference(_random_symmetric(rng, n))
+        _check_against_reference(_random_symmetric(rng, n, zero_diagonal=True))
+        _check_against_reference(_random_symmetric(rng, n, -1, 1))
+        if n:
+            _check_against_reference(_with_radical(rng, n, rng.randint(1, n)))
+
+
+def test_symmetric_diagonalize_degenerate_edges():
+    for n in range(9):
+        _check_against_reference(tuple((0,) * n for _ in range(n)))
+    _check_against_reference(((0, 1, 0), (1, 0, 0), (0, 0, 0)))
+    _check_against_reference(((0, 0, 1), (0, 0, 0), (1, 0, 0)))
+    u = ((0, 1), (1, 0))
+    diag, basis = la.symmetric_diagonalize(u)
+    assert diag == (2, -2) and basis == ((1, 1), (-1, 1))
+
+
+# lattices on which find_positive needs the diagonalization: no basis vector
+# and no sum or difference of two is positive; vectors recorded with the
+# rational elimination
+FALLBACK_POSITIVE = [
+    (((-2, 2, 2), (2, -2, 2), (2, 2, -2)), (2, 1, 1)),
+    (((-2, 1, 1), (1, -2, 0), (1, 0, 0)), (2, 1, 3)),
+    (((-1, 1, 1), (1, -1, 1), (1, 1, -2)), (3, 1, 2)),
+    (((-2, 0, 0, 2), (0, -1, 0, 1), (0, 0, 0, 0), (2, 1, 0, -2)), (1, 1, 0, 1)),
+    (
+        ((-2, -1, 0, -1), (-1, -2, 0, -1), (0, 0, -2, 1), (-1, -1, 1, 0)),
+        (-2, -2, 3, 6),
+    ),
+    (
+        (
+            (-1, -1, 0, 0, 0),
+            (-1, -1, 1, 1, -1),
+            (0, 1, -1, 0, 0),
+            (0, 1, 0, -2, 0),
+            (0, -1, 0, 0, -1),
+        ),
+        (-1, 1, 1, 0, 0),
+    ),
+    (
+        (
+            (-1, 1, -1, 0, 1, -1),
+            (1, -2, 0, 1, 0, -2),
+            (-1, 0, -2, 0, -2, 0),
+            (0, 1, 0, -2, 2, 0),
+            (1, 0, -2, 2, -2, -2),
+            (-1, -2, 0, 0, -2, -2),
+        ),
+        (-3, -2, 1, -1, 0, 0),
+    ),
+    (
+        (
+            (-2, 1, 0, -2, 1, -1),
+            (1, -2, -1, 0, -1, 0),
+            (0, -1, 0, 0, 0, 0),
+            (-2, 0, 0, -2, 0, 0),
+            (1, -1, 0, 0, 0, 0),
+            (-1, 0, 0, 0, 0, -1),
+        ),
+        (-1, -2, 3, 0, 0, 0),
+    ),
+]
+
+
+@pytest.mark.parametrize("gram,expected", FALLBACK_POSITIVE)
+def test_find_positive_fallback_lattices(gram, expected):
+    n = len(gram)
+    assert all(gram[i][i] <= 0 for i in range(n))
+    assert all(
+        gram[i][i] + gram[j][j] + 2 * s * gram[i][j] <= 0
+        for i in range(n)
+        for j in range(i + 1, n)
+        for s in (1, -1)
+    )
+    lat = Lattice(gram)
+    assert find_positive(lat) == expected
+    assert norm(lat, expected) > 0
