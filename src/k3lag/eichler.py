@@ -178,6 +178,11 @@ def _euclid(
             bump_q(-_trunc_div(q, x))
 
 
+def canonical_target(n: int, d: int) -> IntVec:
+    """e1 + d*f1 in the coordinates of a rank-n host."""
+    return tuple(1 if i == 0 else (d if i == 1 else 0) for i in range(n))
+
+
 def canonical_form(lat: Lattice, w) -> CanonicalFormResult:
     """Carry a primitive w with w.w >= 0 onto e1 + (w.w/2) f1."""
     require_two_hyperbolic_blocks(lat)
@@ -191,9 +196,7 @@ def canonical_form(lat: Lattice, w) -> CanonicalFormResult:
         raise NegativeNorm(f"w.w = {w2} is not supported")
     d = w2 // 2
     n = lat.rank
-    target = tuple(
-        1 if i == 0 else (d if i == 1 else 0) for i in range(n)
-    )
+    target = canonical_target(n, d)
     if wv == target:
         return CanonicalFormResult(Isometry.identity(n), d, target)
 
@@ -306,16 +309,21 @@ def _block_witnesses(
     ginv = _gram_inverse(lat)
     ell, u = (la.matvec(ginv, la.vecmat(lat.gram[i], res.g.matrix)) for i in (2, 3))
     v = tuple(a + b for a, b in zip(ell, u))
-    if not (
-        norm(lat, v) == 2
-        and norm(lat, ell) == 0
-        and inner(lat, v, w) == 0
-        and inner(lat, ell, w) == 0
-        and is_primitive(ell)
-        and any(ell)
-    ):
+    if witness_failures(lat, w, v, ell):
         raise ImpossibleState("orthogonal witnesses failed their contract")
     return v, ell, res
+
+
+def witness_failures(lat: Lattice, w, v, ell) -> List[str]:
+    """How (v, ell) breaks the orth_witnesses contract for w; empty if it holds."""
+    failures = []
+    if norm(lat, ell) != 0 or not any(ell) or not is_primitive(ell):
+        failures.append("ell is not a primitive nonzero isotropic vector")
+    if inner(lat, ell, w) != 0:
+        failures.append("ell.w != 0")
+    if norm(lat, v) != 2 or inner(lat, v, w) != 0:
+        failures.append("v fails its contract")
+    return failures
 
 
 def orth_witnesses(lat: Lattice, w) -> Tuple[IntVec, IntVec]:

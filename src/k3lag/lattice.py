@@ -221,9 +221,16 @@ class Sublattice:
         return la.vecmat(tuple(int(c) for c in coeffs), self.basis)
 
     def as_lattice(self) -> Lattice:
-        """Induced lattice: Gram of the basis rows under the host form."""
+        """Induced lattice: Gram of the basis rows under the host form.
+
+        The Gram is symmetric, so only its lower triangle is computed; row i
+        is completed by column i of that triangle.
+        """
         rows = [gram_row(self.host, b) for b in self.basis]
-        return Lattice(tuple(tuple(la.dot(r, b) for b in self.basis) for r in rows))
+        lower = [[la.dot(r, b) for b in self.basis[: i + 1]] for i, r in enumerate(rows)]
+        for i, row in enumerate(lower):
+            row.extend(lower[j][i] for j in range(i + 1, len(rows)))
+        return Lattice(tuple(map(tuple, lower)))
 
 
 @dataclass(frozen=True)

@@ -2,16 +2,16 @@
 
 All integers travel as decimal strings (no precision ceiling), rationals as
 "p/q" strings, Gaussian rationals as {re, im} objects, Gram matrices and
-vectors as arrays of decimal strings. Encoders are canonical (sorted keys
-handled at dump time), decoders validate before any computation and raise
-InputError with a machine-readable code.
+vectors as arrays of decimal strings. One encoder, enc, turns library values
+into that form (canonical: keys are sorted at dump time); the decoders
+validate types and, given a length, the length of every vector before any
+computation and raise InputError with a machine-readable code.
 """
 from __future__ import annotations
 
 import json
 import re
 from fractions import Fraction
-from typing import Sequence
 
 from .exact import GaussianRational
 from .lattice import (
@@ -41,19 +41,41 @@ class InputError(Exception):
         self.code = code
 
 
-def enc_int(n: int) -> str:
-    return str(int(n))
+def enc(value):
+    """Wire form of a library value.
+
+    ints become decimal strings and Fractions "p/q"; tuples and lists become
+    arrays and dicts objects, encoded entry by entry; a Lattice becomes its
+    gram object, a Sublattice its basis, a GaussianRational an {re, im}
+    object and a FormalVector a {base, eps, terms} object. Strings, booleans,
+    None and floats pass through, so values already in wire form are kept.
+    """
+    if value is None or isinstance(value, (bool, str, float)):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, (tuple, list)):
+        return [enc(x) for x in value]
+    if isinstance(value, dict):
+        return {k: enc(v) for k, v in value.items()}
+    if isinstance(value, Lattice):
+        return {"gram": enc(value.gram)}
+    if isinstance(value, Sublattice):
+        return enc(value.basis)
+    if isinstance(value, GaussianRational):
+        return {"re": enc(Fraction(value.re)), "im": enc(Fraction(value.im))}
+    if isinstance(value, FormalVector):
+        terms = [{"marker": i, "vector": v} for i, v in value.terms]
+        return enc({"base": value.base, "eps": value.eps, "terms": terms})
+    raise TypeError(f"no wire form for {type(value).__name__}")
 
 
 def dec_int(value, what: str = "integer") -> int:
     if isinstance(value, str) and _INT_RE.match(value):
         return int(value)
     raise InputError("bad_integer", f"{what}: expected a decimal string, got {value!r}")
-
-
-def enc_frac(q) -> str:
-    f = Fraction(q)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def dec_frac(value, what: str = "rational") -> Fraction:
@@ -65,38 +87,31 @@ def dec_frac(value, what: str = "rational") -> Fraction:
     raise InputError("bad_rational", f"{what}: expected 'p/q' string, got {value!r}")
 
 
-def enc_ivec(v: Sequence[int]) -> list:
-    return [enc_int(c) for c in v]
+def _sized(vec: tuple, n, what: str) -> tuple:
+    if n is not None and len(vec) != n:
+        raise InputError("bad_shape", f"{what}: expected {n} entries, got {len(vec)}")
+    return vec
 
 
-def dec_ivec(value, what: str = "vector") -> tuple:
+def dec_ivec(value, what: str = "vector", n=None) -> tuple:
+    """Integer vector, of length n when n is given."""
     if not isinstance(value, list):
         raise InputError("bad_vector", f"{what}: expected an array")
-    return tuple(dec_int(c, what) for c in value)
+    return _sized(tuple(dec_int(c, what) for c in value), n, what)
 
 
-def enc_qvec(v) -> list:
-    return [enc_frac(c) for c in v]
-
-
-def dec_qvec(value, what: str = "vector") -> tuple:
+def dec_qvec(value, what: str = "vector", n=None) -> tuple:
+    """Rational vector, of length n when n is given."""
     if not isinstance(value, list):
         raise InputError("bad_vector", f"{what}: expected an array")
-    return tuple(dec_frac(c, what) for c in value)
+    return _sized(tuple(dec_frac(c, what) for c in value), n, what)
 
 
-def enc_matrix(m) -> list:
-    return [enc_ivec(row) for row in m]
-
-
-def dec_matrix(value, what: str = "matrix") -> tuple:
+def dec_matrix(value, what: str = "matrix", n=None) -> tuple:
+    """Integer matrix, every row of length n when n is given."""
     if not isinstance(value, list):
         raise InputError("bad_matrix", f"{what}: expected an array of arrays")
-    return tuple(dec_ivec(row, what) for row in value)
-
-
-def enc_gaussian(c: GaussianRational) -> dict:
-    return {"re": enc_frac(c.re), "im": enc_frac(c.im)}
+    return tuple(dec_ivec(row, what, n) for row in value)
 
 
 def dec_gram(value) -> tuple:
@@ -126,45 +141,31 @@ def dec_lattice(spec, what: str = "lattice") -> Lattice:
     raise InputError("bad_lattice", f"{what}: expected a name or a gram object")
 
 
-def enc_lattice(lat: Lattice) -> dict:
-    return {"gram": enc_matrix(lat.gram)}
-
-
-def enc_formal(fv: FormalVector) -> dict:
-    return {
-        "base": enc_qvec(fv.base),
-        "eps": enc_frac(fv.eps),
-        "terms": [
-            {"marker": enc_int(i), "vector": enc_qvec(v)} for i, v in fv.terms
-        ],
-    }
-
-
-def dec_formal(value, what: str = "formal vector") -> FormalVector:
+def dec_formal(value, what: str = "formal vector", n=None) -> FormalVector:
+    """Formal vector whose base and term vectors have length n when n is given."""
     if not isinstance(value, dict) or "base" not in value:
         raise InputError("bad_formal", f"{what}: expected base/eps/terms object")
-    base = dec_qvec(value["base"], what)
+    base = dec_qvec(value["base"], what, n)
     eps = dec_frac(value.get("eps", "1/2"), what)
+    entries = value.get("terms", [])
+    if not isinstance(entries, list):
+        raise InputError("bad_formal", f"{what}: terms must be an array")
     terms = []
-    for t in value.get("terms", []):
+    for t in entries:
         if not isinstance(t, dict) or "marker" not in t or "vector" not in t:
             raise InputError("bad_formal", f"{what}: bad term entry")
-        terms.append((dec_int(t["marker"], what), dec_qvec(t["vector"], what)))
+        terms.append((dec_int(t["marker"], what), dec_qvec(t["vector"], what, len(base))))
     try:
         return FormalVector(base=base, eps=eps, terms=tuple(terms))
     except ValueError as exc:
         raise InputError("bad_formal", f"{what}: {exc}")
 
 
-def dec_omega(value, what: str = "omega"):
-    """Rational vector (array) or formal vector (object)."""
+def dec_omega(value, what: str = "omega", n=None):
+    """Rational vector (array) or formal vector (object) of length n."""
     if isinstance(value, list):
-        return dec_qvec(value, what)
-    return dec_formal(value, what)
-
-
-def enc_sublattice(sub: Sublattice) -> list:
-    return enc_matrix(sub.basis)
+        return dec_qvec(value, what, n)
+    return dec_formal(value, what, n)
 
 
 def dumps(doc: dict) -> str:
@@ -186,7 +187,3 @@ def error_document(code: str, message: str, **extra) -> dict:
     err = {"code": code, "message": message}
     err.update(extra)
     return {"error": err}
-
-
-def document(command: str, input_doc: dict, result: dict) -> dict:
-    return {"command": command, "input": input_doc, "result": result}

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from k3lag.cli import main
+import k3lag
+from k3lag.cli import build_parser, main
 
 U3_GRAM = [
     ["0", "1", "0", "0", "0", "0"],
@@ -330,3 +334,125 @@ def test_bad_json_exits_2(capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 2
     assert json.loads(out)["error"]["code"] == "bad_json"
+
+
+# ---------------------------------------------------------------------------
+# malformed documents: exit 0-3 with a JSON document, shape errors exit 2
+
+E8_BLOCK = [["1" if j == 6 + i else "0" for j in range(22)] for i in range(8)]
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_verify_list_command_exits_2(capsys, tmp_path):
+    doc = {"command": ["eichler"], "input": {}, "result": {}}
+    code, vdoc = run_cli(capsys, ["verify"], doc, tmp_path)
+    assert code == 2 and vdoc["error"]["code"] == "unsupported_verify"
+
+
+def test_verify_non_object_classify_result_exits_2(capsys, tmp_path):
+    code, doc = run_cli(capsys, ["classify", "--lattice", "E8"])
+    doc["result"] = ["Split"]
+    code, vdoc = run_cli(capsys, ["verify"], doc, tmp_path)
+    assert code == 2 and vdoc["error"]["code"] == "bad_document"
+
+
+@pytest.mark.parametrize(
+    "part, key, value",
+    [("input", "host", "E8"), ("input", "host", "U"), ("result", "isometry", [["1"]])],
+)
+def test_verify_eichler_shape_mismatch_exits_2(capsys, tmp_path, part, key, value):
+    w = ["1", "1", "1", "1"] + ["0"] * 18
+    code, doc = run_cli(capsys, ["eichler"], {"host": "K3", "w": w}, tmp_path)
+    doc[part][key] = value
+    code, vdoc = run_cli(capsys, ["verify"], doc, tmp_path)
+    assert code == 2 and vdoc["error"]["code"] == "bad_shape"
+
+
+def test_verify_sample_box_zero_exits_2(capsys):
+    code, doc = run_cli(capsys, ["sample", "--count", "1", "--seed", "3"])
+    doc["input"]["options"]["box"] = "0"
+    # a sampler at box 0 would never draw a nonzero w: run it in a child
+    # process under a timeout, so a regression fails instead of hanging
+    src = os.path.dirname(os.path.dirname(k3lag.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lag.cli", "verify"],
+        input=json.dumps(doc),
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"]["code"] == "bad_box"
+
+
+def test_verify_realize_short_row_exits_2_like_realize(capsys, tmp_path):
+    code, doc = run_cli(capsys, ["realize"], {"host": "K3", "sublattice": E8_BLOCK}, tmp_path)
+    doc["input"]["sublattice"] = [row[:5] for row in doc["input"]["sublattice"]]
+    code, vdoc = run_cli(capsys, ["verify"], doc, tmp_path)
+    assert code == 2 and vdoc["error"]["code"] == "bad_sublattice"
+
+
+def test_output_unwritable_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "doc.json"
+    code = main(["classify", "--lattice", "U", "--output", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2 and doc["error"]["code"] == "unwritable_output"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "args, payload",
+    [
+        (["decompose"], _decompose_payload(["1", "-2", "0", "0", "0"])),
+        (["decompose"], dict(_decompose_payload(["1", "-2", "0", "0", "0", "0"]),
+                             theta_re=["1/1"] * 5)),
+        (["decompose"], dict(_decompose_payload(["1", "-2", "0", "0", "0", "0"]),
+                             omega={"base": ["1/1"] * 6, "terms": [
+                                 {"marker": "1", "vector": ["1/1"]}]})),
+        (["syz"], {"host": "K3", "w": ["1", "1"] + ["0"] * 19}),
+        (["eichler"], {"host": "K3", "w": ["1", "1"] + ["0"] * 19}),
+        (["sample", "--count", "1"], {"force_w": ["1", "1"] + ["0"] * 19}),
+    ],
+)
+def test_wrong_length_vector_exits_2(capsys, tmp_path, args, payload):
+    code, doc = run_cli(capsys, args, payload, tmp_path)
+    assert code == 2 and doc["error"]["code"] == "bad_shape"
+
+
+@pytest.mark.parametrize(
+    "args, payload, path",
+    [
+        (["syz"], {"host": "K3", "w": ["1", "1"] + ["0"] * 20}, ("ell",)),
+        (["roots", "--lattice", "E8"], None, ("roots", 0)),
+        (["classify", "--lattice", "U"], None, ("witness",)),
+        (["decompose"], _decompose_payload(["1", "-2", "0", "0", "0", "0"]),
+         ("certificate", "terms", 0, "class")),
+    ],
+)
+def test_verify_wrong_length_result_vector_exits_2(capsys, tmp_path, args, payload, path):
+    code, doc = run_cli(capsys, args, payload, tmp_path)
+    assert code == 0
+    owner = doc["result"]
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = owner[path[-1]][:-1]
+    code, vdoc = run_cli(capsys, ["verify"], doc, tmp_path)
+    assert code == 2 and vdoc["error"]["code"] == "bad_shape"
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (["sample", "--count", "abc"], "bad_integer"),
+        (["sample", "--mode", "sideways"], "bad_mode"),
+        (["decompose", "--root-choice", "x"], "bad_root_choice"),
+    ],
+)
+def test_flag_values_decoded_like_documents(capsys, tmp_path, args, error):
+    code, doc = run_cli(capsys, args, _decompose_payload(["1", "-2", "0", "0", "0", "0"]),
+                        tmp_path)
+    assert code == 2 and doc["error"]["code"] == error

@@ -210,3 +210,16 @@ def test_norm_and_even(E8):
     assert norm(E8, (1, 0, 0, 0, 0, 0, 0, 0)) == -2
     assert from_diagonal([-4]).even
     assert not from_diagonal([-3]).even
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_as_lattice_equals_full_product(seed, K3):
+    # reference: every entry b_i.G.b_j of B G B^T, both triangles computed
+    rng = random.Random(seed)
+    rows = [
+        [rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(K3.rank)]
+        for _ in range(rng.randint(0, 8))
+    ]
+    sub = Sublattice.from_generators(K3, rows)
+    full = tuple(tuple(inner(K3, a, b) for b in sub.basis) for a in sub.basis)
+    assert sub.as_lattice() == Lattice(full)
