@@ -17,9 +17,10 @@ never stored in the table, so a tracer that rebinds those names sees every
 call.
 
 Exit codes: 0 success, 1 library error or failed verification, 2 malformed
-input (invalid JSON, a wrong type, a wrong-length vector or matrix row, an
-option out of range, an unreadable --input or an unwritable --output), 3
-honest Unknown (isotropic search height exhausted).
+input (an unknown or missing command or flag, invalid JSON, a wrong type, a
+wrong-length vector or matrix row, an option out of range, an unreadable
+--input or an unwritable --output), 3 honest Unknown (isotropic search
+height exhausted).
 """
 from __future__ import annotations
 
@@ -430,10 +431,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose errors (an unknown command or flag) exit 2 with a document."""
+
+    def error(self, message):
+        raise ser.InputError("bad_arguments", message)
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argv parser, built once per process from COMMANDS."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="k3lag",
         description="Exact lattice decision procedures for Lagrangian classes",
     )
@@ -461,9 +469,10 @@ def _emit(path: Optional[str], text: str, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    spec = COMMANDS[args.command]
+    output = None
     try:
+        args = build_parser().parse_args(argv)
+        output, spec = args.output, COMMANDS[args.command]
         echo, result, code = spec.run(**spec.decode(_fold(args, spec)))
         doc = ser.enc({"command": args.command, "input": echo, "result": result})
     except ser.InputError as exc:
@@ -471,7 +480,7 @@ def main(argv=None) -> int:
     except LatticeError as exc:
         extra = {k: str(v) for k, v in exc.payload.items()}
         doc, code = ser.error_document(exc.code, str(exc), **extra), 1
-    return _emit(args.output, ser.dumps(doc), code)
+    return _emit(output, ser.dumps(doc), code)
 
 
 if __name__ == "__main__":

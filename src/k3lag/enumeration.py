@@ -2,10 +2,12 @@
 
 Short vectors in definite lattices and the bounded root slices that drive
 the nef reflection walk share one Fincke-Pohst engine, _ellipsoid_points.
-Rational data stays at its edge: the decomposition of the form and the
-slice centre are scaled once per call to integer level weights, integer
-offsets and an integer bound, so the search itself runs on ints alone,
-with integer interval bounds from isqrt (no Fraction in the loop, never a
+It reads the integer diagonalization V P V^T = diag of the definite form
+(la.symmetric_diagonalize, the elimination behind signatures): the level
+forms F_k = (V P)_k are integer rows and the weights are 1 / diag_k, so
+only the slice centre's denominator and the lcm of q^2 diag_k are scaled
+away once per call, and the search itself runs on ints alone, with
+integer interval bounds from isqrt (no Fraction in the loop, never a
 float). Also root reports and positive/isotropic searches. Completeness is
 the contract: enumerations return exactly the stated finite sets.
 """
@@ -56,41 +58,26 @@ class RootReport:
     generation_basis: Optional[Sublattice]
 
 
-def _decompose(pd) -> Tuple[List[Fraction], List[List[Fraction]]]:
-    """Q(y) = sum_k d[k] (y_k + sum_{j>k} mu[k][j] y_j)^2 for pos. def. Q."""
-    n = len(pd)
-    a = [[Fraction(x) for x in row] for row in pd]
-    d = [Fraction(0)] * n
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        d[k] = a[k][k]
-        if d[k] <= 0:
-            raise NotNegativeDefinite("form is not definite")
-        for j in range(k + 1, n):
-            mu[k][j] = a[k][j] / d[k]
-        for i in range(k + 1, n):
-            for j in range(i, n):
-                a[i][j] -= a[i][k] * a[k][j] / d[k]
-                a[j][i] = a[i][j]
-    return d, mu
-
-
 def _ellipsoid_points(
-    dec, center: Tuple[Fraction, ...], bound: Fraction
+    pd, dec, center: Tuple[Fraction, ...], bound: Fraction
 ) -> Iterator[Tuple[IntVec, Fraction]]:
-    """Integer points x with Q(x - center) <= bound, with the exact value.
+    """Integer points x with P(x - center) <= bound, with the exact value.
 
-    dec = (d, mu) is _decompose of Q, so callers enumerating several
-    ellipsoids of one form decompose it once. The rational data is scaled
-    to integers once per call: with s_k the denominator of row k of mu and
-    q that of the centre, L_k = q s_k (x_k - c_k + sum_j mu_kj (x_j - c_j))
-    is an integer and Q(x - c) = sum_k e_k L_k^2 / D for integer weights
-    e_k = D d_k / (q s_k)^2. The search then runs on ints alone: level k
+    dec = (diag, V) is la.symmetric_diagonalize of the definite form P = pd,
+    so callers enumerating several ellipsoids of one form diagonalize it
+    once. V P V^T = diag gives P(y) = sum_k F_k(y)^2 / diag_k for the
+    integer forms F_k = (V P)_k, and as a definite form needs no swap or
+    add move, F_k involves only y_k..y_{n-1}. With q the denominator of the
+    centre, L_k = F_k(q x - q c) is an integer and P(x - c) = sum_k e_k L_k^2
+    / D for D = lcm(denominator of bound, q^2 diag_k) and integer weights
+    e_k = D / (q^2 diag_k). The search then runs on ints alone: level k
     admits |L_k| <= isqrt(rest // e_k). Levels go n-1 down to 0 and values
     ascend within a level, so the order is deterministic.
     """
-    d, mu = dec
-    n = len(d)
+    diag, basis = dec
+    if any(d <= 0 for d in diag):
+        raise NotNegativeDefinite("form is not definite")
+    n = len(diag)
     bound = Fraction(bound)
     if bound < 0:
         return
@@ -99,22 +86,18 @@ def _ellipsoid_points(
         return
     q = lcm(*(c.denominator for c in center))
     cq = [int(c * q) for c in center]  # q * centre
-    s = [lcm(*(m.denominator for m in mu[k][k + 1:])) for k in range(n)]
-    terms = [
-        [(j, int(mu[k][j] * s[k])) for j in range(k + 1, n) if mu[k][j]]
-        for k in range(n)
-    ]
-    step = [q * sk for sk in s]  # L_k = step_k * x_k + (terms of levels > k)
-    weights = [d[k] / (step[k] * step[k]) for k in range(n)]
-    scale = lcm(bound.denominator, *(w.denominator for w in weights))
-    e = [int(w * scale) for w in weights]
+    forms = la.matmul(basis, pd)
+    terms = [[(j, f) for j, f in enumerate(forms[k]) if j > k and f] for k in range(n)]
+    step = [q * forms[k][k] for k in range(n)]  # L_k = step_k x_k + (levels > k)
+    scale = lcm(bound.denominator, *(q * q * d for d in diag))
+    e = [scale // (q * q * d) for d in diag]
     total = int(bound * scale)
 
     x = [0] * n
     y = [0] * n  # q * (x_j - c_j) on the levels already fixed
 
     def rec(k: int, rest: int) -> Iterator[Tuple[IntVec, Fraction]]:
-        c = -s[k] * cq[k]
+        c = -forms[k][k] * cq[k]
         for j, m in terms[k]:
             c += m * y[j]
         r = isqrt(rest // e[k])
@@ -149,7 +132,8 @@ def short_vectors(lat: Lattice, bound: int) -> List[IntVec]:
     pd = tuple(tuple(-g for g in row) for row in lat.gram)
     zero = tuple(Fraction(0) for _ in range(lat.rank))
     out = []
-    for x, q in _ellipsoid_points(_decompose(pd), zero, Fraction(bound)):
+    dec = la.symmetric_diagonalize(pd)
+    for x, q in _ellipsoid_points(pd, dec, zero, Fraction(bound)):
         if q == 0:
             continue
         if sign_normalized(x) == x:
@@ -260,20 +244,18 @@ def root_slice(lat: Lattice, w, bound: int, lower: int = 0) -> List[IntVec]:
     sol = _pairing_solution(gw, d)
     pd = tuple(tuple(-g for g in row) for row in comp_lat.gram)
     pinv = la.frac_inverse(pd) if k else ()
-    dec = _decompose(pd)
+    dec = la.symmetric_diagonalize(pd)
     out = []
     for a in range((lower // d + 1) * d, bound, d):
         xa = tuple((a // d) * c for c in sol)
         s0 = norm(lat, xa)
         t = tuple(inner(lat, xa, row) for row in m)
         if k:
-            u = tuple(
-                sum(pinv[i][j] * t[j] for j in range(k)) for i in range(k)
-            )
+            u = la.matvec(pinv, t)
             r = Fraction(s0 + 2) + sum(t[i] * u[i] for i in range(k))
             if r < 0:
                 continue
-            for c, q in _ellipsoid_points(dec, u, r):
+            for c, q in _ellipsoid_points(pd, dec, u, r):
                 if q == r:
                     delta = tuple(
                         x + y for x, y in zip(xa, la.vecmat(c, m))

@@ -4,10 +4,11 @@ Matrices are row-major tuples of tuples. Canonical form throughout is the
 row Hermite normal form: positive pivots, entries above a pivot reduced into
 [0, pivot), zero rows dropped (or sorted to the bottom when a transform is
 requested). Ranks in this package stay small (<= 22), so the plain
-O(n^3)-with-big-ints algorithms are entirely adequate. Determinants and
-the congruence diagonalization behind signatures (an integer diagonal and
-a scaled integer basis) are fraction-free Bareiss eliminations over Z;
-Fraction appears only in the rational routines (inverse, denominators).
+O(n^3)-with-big-ints algorithms are entirely adequate. Two eliminations
+run over Z: the xgcd echelon of the HNF (kernels, solving, Smith invariants)
+and fraction-free Bareiss steps (determinant, the congruence diagonalization
+behind signatures and Fincke-Pohst, the Gauss-Jordan inverse). Fraction is
+left only at the edge: frac_inverse's returned entries and integral_row.
 """
 from __future__ import annotations
 
@@ -232,76 +233,22 @@ def solve_left(
 
 
 def smith_invariants(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
-    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix."""
-    a = [list(map(int, r)) for r in rows]
-    nr = len(a)
-    nc = len(a[0]) if a else 0
-    invariants: List[int] = []
-    t = 0
-    while t < min(nr, nc):
-        # find a nonzero entry in the remaining block
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        i, j = pivot
-        a[t], a[i] = a[i], a[t]
-        for row in a:
-            row[t], row[j] = row[j], row[t]
-        while True:
-            # clear column t; a plain quotient step when the pivot divides
-            # keeps row t untouched, so only gcd-shrinking steps re-pollute
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    if a[i][t] % a[t][t] == 0:
-                        q = a[i][t] // a[t][t]
-                        a[i] = [p - q * r for p, r in zip(a[i], a[t])]
-                    else:
-                        g, x, y = xgcd(a[t][t], a[i][t])
-                        aa, bb = a[t][t] // g, a[i][t] // g
-                        rt, ri = a[t], a[i]
-                        a[t] = [x * p + y * q for p, q in zip(rt, ri)]
-                        a[i] = [-bb * p + aa * q for p, q in zip(rt, ri)]
-                        dirty = True
-            # clear row t
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    if a[t][j] % a[t][t] == 0:
-                        q = a[t][j] // a[t][t]
-                        for row in a:
-                            row[j] -= q * row[t]
-                    else:
-                        g, x, y = xgcd(a[t][t], a[t][j])
-                        aa, bb = a[t][t] // g, a[t][j] // g
-                        for row in a:
-                            p, q = row[t], row[j]
-                            row[t] = x * p + y * q
-                            row[j] = -bb * p + aa * q
-                        dirty = True
-            if dirty:
-                continue
-            # enforce divisibility of the remaining block by the pivot
-            offender = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % a[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            a[t] = [p + q for p, q in zip(a[t], a[offender])]
-        invariants.append(abs(a[t][t]))
-        t += 1
-    return tuple(invariants)
+    """Nonzero invariant factors d_1 | d_2 | ... of an integer matrix.
+
+    Row HNFs of the matrix and of its transpose alternate until it is
+    diagonal (the corner entry only shrinks, to the gcd of its row and
+    column, so this ends); then each pair of diagonal entries becomes
+    (gcd, lcm), which leaves the divisor chain.
+    """
+    a = hnf(rows, len(rows[0]) if rows else 0)
+    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        a = hnf(transpose(a), len(a))
+    d = [a[i][i] for i in range(len(a))]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return tuple(d)
 
 
 # ---------------------------------------------------------------------------
@@ -318,23 +265,29 @@ def integral_row(frac_row: Sequence) -> Tuple[int, ...]:
     return tuple(int(f * lcm) for f in fracs)
 
 
-def frac_inverse(m: Sequence[Sequence]) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Exact inverse via Gauss-Jordan; raises ZeroDivisionError if singular."""
+def frac_inverse(m: Sequence[Sequence[int]]) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Exact inverse of an integer matrix; raises ZeroDivisionError if singular.
+
+    Fraction-free Gauss-Jordan on [m | I] over Z: every row i != k becomes
+    (p row_i - a_ik row_k) / prev at pivot p, an exact division (Bareiss),
+    so the left block ends as det * I (up to the sign of the row swaps) and
+    the right block as det * m^-1. Fractions are formed only for the result.
+    """
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+    a = [list(map(int, row)) + list(e) for row, e in zip(m, identity(n))]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
             raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
+        a[k], a[piv] = a[piv], a[k]
+        p, rk = a[k][k], a[k]
         for i in range(n):
-            if i != col and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+            c = a[i][k]
+            if i != k:
+                a[i] = [(p * x - c * y) // prev for x, y in zip(a[i], rk)]
+        prev = p
+    return tuple(tuple(Fraction(x, prev) for x in row[n:]) for row in a)
 
 
 def int_inverse(m: Sequence[Sequence[int]]) -> IntMatrix:

@@ -375,22 +375,16 @@ def sublattice_index(inner_sub: Sublattice, outer_sub: Sublattice) -> int:
         raise RankMismatch("sublattices live in different hosts")
     if inner_sub.rank != outer_sub.rank:
         raise ValueError("index is infinite: ranks differ")
-    # index = product of the invariant factors of the inner basis written
-    # over the outer basis
+    # index = |det| of the inner basis written over the outer basis
     coords = []
     for row in inner_sub.basis:
         c = outer_sub.coords_of(row)
         if c is None:
             raise ValueError("first sublattice is not contained in second")
         coords.append(c)
-    if not coords:
-        return 1
-    factors = la.smith_invariants(coords)
-    if len(factors) != len(coords):
+    index = abs(la.det(coords))
+    if not index:
         raise ValueError("index is infinite: coordinate matrix is singular")
-    index = 1
-    for f in factors:
-        index *= f
     return index
 
 

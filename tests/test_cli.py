@@ -405,6 +405,24 @@ def test_output_unwritable_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["classify", "--lattice", "U", "--bogus"], "--bogus"),
+        (["bogus"], "bogus"),
+        ([], "command"),
+    ],
+    ids=["unknown_flag", "unknown_command", "missing_command"],
+)
+def test_argument_errors_exit_2_with_document(capsys, argv, word):
+    code = main(argv)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
+    assert code == 2 and doc["error"]["code"] == "bad_arguments"
+    assert word in doc["error"]["message"]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize(
     "args, payload",
     [
         (["decompose"], _decompose_payload(["1", "-2", "0", "0", "0"])),

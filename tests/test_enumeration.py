@@ -1,13 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, isqrt
+from math import ceil, floor, isqrt, lcm
 
 import pytest
 
+from k3lag import intlinalg as la
 from k3lag.enumeration import (
     Unknown,
-    _decompose,
     _ellipsoid_points,
     find_isotropic,
     find_positive,
@@ -288,11 +288,11 @@ def test_ellipsoid_points_against_box_scan():
     for rank in (2, 3, 3, 4):
         gram = random_negdef_gram(rng, rank)
         forms.append(tuple(tuple(-g for g in row) for row in gram))
-    # mu of the first form has denominator 2
-    assert _decompose(forms[0])[1][0][1] == Fraction(1, 2)
+    # the first form's weights 1 / diag_k need a scale other than 1
+    assert lcm(*la.symmetric_diagonalize(forms[0])[0]) != 1
     on_boundary = 0
     for pd in forms:
-        dec = _decompose(pd)
+        dec = la.symmetric_diagonalize(pd)
         for den in (2, 3, 6):
             center = tuple(
                 Fraction(rng.randint(-2 * den, 2 * den), den) for _ in pd
@@ -302,15 +302,16 @@ def test_ellipsoid_points_against_box_scan():
             attained = _form_value(pd, [a - c for a, c in zip(p, center)])
             other = Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 5)))
             for bound in (attained, other):
-                got = list(_ellipsoid_points(dec, center, bound))
+                got = list(_ellipsoid_points(pd, dec, center, bound))
                 assert got == brute_ellipsoid(pd, center, bound), (pd, center, bound)
                 on_boundary += sum(1 for _, q in got if q == bound)
     assert on_boundary >= 3 * len(forms)
 
 
 def test_ellipsoid_points_empty_and_zero_rank():
-    dec = _decompose(((2, 1), (1, 3)))
+    pd = ((2, 1), (1, 3))
+    dec = la.symmetric_diagonalize(pd)
     half, third = Fraction(1, 2), Fraction(1, 3)
-    assert list(_ellipsoid_points(dec, (half, Fraction(0)), Fraction(-1))) == []
-    assert list(_ellipsoid_points(dec, (half, third), Fraction(0))) == []
-    assert list(_ellipsoid_points(([], []), (), Fraction(3))) == [((), 0)]
+    assert list(_ellipsoid_points(pd, dec, (half, Fraction(0)), Fraction(-1))) == []
+    assert list(_ellipsoid_points(pd, dec, (half, third), Fraction(0))) == []
+    assert list(_ellipsoid_points((), ((), ()), (), Fraction(3))) == [((), 0)]

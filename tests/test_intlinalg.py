@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from k3lag import intlinalg as la
 from k3lag.enumeration import find_positive
 from k3lag.lattice import Lattice, norm, signature
+
+from test_enumeration import _frac_inverse
 
 
 def test_xgcd_divisible_convention():
@@ -143,6 +147,66 @@ def test_frac_inverse_and_integral_row():
     inv = la.frac_inverse(((2, 1), (1, 1)))
     assert inv == ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(2)))
     assert la.integral_row((Fraction(1, 2), Fraction(2, 3), Fraction(0))) == (3, 4, 0)
+
+
+def test_frac_inverse_against_rational_gauss_jordan():
+    rng = random.Random(311)
+    checked = swapped = 0
+    while checked < 120:
+        n = 1 + checked % 8
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if n > 1 and checked % 3 == 0:
+            m[0][0] = 0  # the first pivot needs a row swap
+        if la.det(m) == 0:
+            continue
+        assert la.frac_inverse(m) == tuple(map(tuple, _frac_inverse(m))), m
+        checked += 1
+        swapped += m[0][0] == 0
+    assert swapped >= 30
+
+
+def test_frac_inverse_and_int_inverse_refusals():
+    for m in (((0,),), ((1, 2), (2, 4)), ((0, 1, 1), (0, 2, 3), (0, 5, 7))):
+        with pytest.raises(ZeroDivisionError):
+            la.frac_inverse(m)
+    assert la.int_inverse(((2, 1), (1, 1))) == ((1, -1), (-1, 2))
+    for m in (((2,),), ((2, 1), (1, 2)), ((1, 0, 0), (0, 3, 1), (0, 1, 1))):
+        with pytest.raises(ValueError):
+            la.int_inverse(m)
+
+
+def _laplace_det(m):
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * x * _laplace_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j, x in enumerate(m[0]) if x
+    )
+
+
+def test_smith_invariants_match_determinantal_divisors():
+    # d_1 ... d_k is the gcd of the k x k minors (Smith 1861)
+    rng = random.Random(613)
+    for trial in range(150):
+        nr, nc = rng.randint(1, 4), rng.randint(1, 4)
+        m = [[rng.randint(-7, 7) for _ in range(nc)] for _ in range(nr)]
+        if nr > 1 and trial % 3 == 0:
+            m[-1] = [rng.randint(-2, 2) * x for x in m[0]]  # rank deficient
+        divisors = []
+        for k in range(1, min(nr, nc) + 1):
+            g = 0
+            for rows in combinations(range(nr), k):
+                for cols in combinations(range(nc), k):
+                    g = gcd(g, _laplace_det([[m[i][j] for j in cols] for i in rows]))
+            if not g:
+                break
+            divisors.append(g)
+        inv = la.smith_invariants(m)
+        assert len(inv) == len(divisors), m
+        prod = 1
+        for f, dk in zip(inv, divisors):
+            prod *= f
+            assert prod == dk, m
 
 
 def test_symmetric_diagonalize_congruence():
