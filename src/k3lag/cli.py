@@ -28,6 +28,7 @@ import argparse
 import functools
 import os
 import sys
+from math import lcm
 from typing import Callable, NamedTuple, Optional
 
 from . import serialize as ser
@@ -45,7 +46,8 @@ from .errors import InvalidPeriod, LatticeError, RankMismatch, TypeOneOne
 from .exact import primitivize, rational_direction
 from .fibration import syz_witness
 from .hodge import PeriodData, phase_square
-from .lattice import Isometry, Lattice, Sublattice, inner, k3_lattice, norm, signature
+from .lattice import Isometry, Lattice, Sublattice, gram_matrix, inner, k3_lattice
+from .lattice import norm, signature
 from .sampling import sample_trials
 
 HEIGHT_ENV = "K3LAG_HEIGHT"
@@ -404,8 +406,17 @@ def _check_realize(result: dict, failures: list, host, sub) -> None:
         return
     witness = ser.dec_formal(_field(result, "witness", "result"), "witness", host.rank)
     bound = ser.dec_frac(_field(result, "eps_bound", "result"), "eps_bound")
-    if bound <= 0:
-        failures.append("eps_bound is not positive")
+    if not 0 < witness.eps < bound:
+        failures.append("eps is not in (0, eps_bound)")
+    # realize_witness's bound for the witness's own x, y_i, all scaled by d into Z
+    vecs = [witness.base] + [y for _, y in witness.terms]
+    d = lcm(*(c.denominator for v in vecs for c in v))
+    g = gram_matrix(host, [[c.numerator * (d // c.denominator) for c in v] for v in vecs])
+    rest = 2 * sum(map(abs, g[0][1:])) + sum(abs(x) for row in g[1:] for x in row[1:])
+    if g[0][0] <= 0:
+        failures.append("witness base square is not positive")
+    elif bound > 1 or bound * (rest + d * d) > g[0][0]:
+        failures.append("eps_bound exceeds the bound of the witness")
     if lag_lattice(host, witness).basis != sub.basis:
         failures.append("witness joint kernel differs from the sublattice")
 

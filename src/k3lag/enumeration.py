@@ -121,10 +121,11 @@ def _require_negative_definite(lat: Lattice) -> None:
         )
 
 
-def short_vectors(lat: Lattice, bound: int) -> List[IntVec]:
+def short_vectors(lat: Lattice, bound: int, exact: bool = False) -> List[IntVec]:
     """All x with 0 < -x.x <= bound, one per +-pair, lexicographic.
 
-    Complete: misses nothing within the bound.
+    Complete: misses nothing within the bound. With exact, only the x with
+    -x.x == bound, read off the value the enumeration yields.
     """
     _require_negative_definite(lat)
     if bound < 1:
@@ -134,7 +135,7 @@ def short_vectors(lat: Lattice, bound: int) -> List[IntVec]:
     out = []
     dec = la.symmetric_diagonalize(pd)
     for x, q in _ellipsoid_points(pd, dec, zero, Fraction(bound)):
-        if q == 0:
+        if q == 0 or (exact and q != bound):
             continue
         if sign_normalized(x) == x:
             out.append(x)
@@ -144,12 +145,10 @@ def short_vectors(lat: Lattice, bound: int) -> List[IntVec]:
 
 def roots_generate(lat: Lattice) -> RootReport:
     """Enumerate all norm -2 roots and test index-1 generation."""
-    roots = tuple(
-        v for v in short_vectors(lat, 2) if norm(lat, v) == -2
-    ) if lat.rank else ()
     if lat.rank == 0:
         # the zero lattice is generated by the empty root set
         return RootReport((), 0, True, None)
+    roots = tuple(short_vectors(lat, 2, exact=True))
     if not roots:
         return RootReport((), 0, False, None)
     span = Sublattice.from_generators(lat, roots)

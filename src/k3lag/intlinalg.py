@@ -7,8 +7,10 @@ requested). Ranks in this package stay small (<= 22), so the plain
 O(n^3)-with-big-ints algorithms are entirely adequate. Two eliminations
 run over Z: the xgcd echelon of the HNF (kernels, solving, Smith invariants)
 and fraction-free Bareiss steps (determinant, the congruence diagonalization
-behind signatures and Fincke-Pohst, the Gauss-Jordan inverse). Fraction is
-left only at the edge: frac_inverse's returned entries and integral_row.
+behind signatures and Fincke-Pohst, the Gauss-Jordan inverse). Only
+kernels build the echelon's whole transform; a solve replays its logged
+row operations on one vector. Fraction is left only at the edge:
+frac_inverse's returned entries and integral_row.
 """
 from __future__ import annotations
 
@@ -105,12 +107,16 @@ def gcd_combination(values: Sequence[int]) -> Tuple[int, IntVector]:
     return g, tuple(coeffs)
 
 
-def _echelon(work: List[List[int]], ncols: int) -> None:
+def _echelon(work: List[List[int]], ncols: int, log: Optional[list] = None) -> None:
     """Row HNF of work in place, with pivots taken in the first ncols columns.
 
     Row operations act on whole rows, so columns past ncols (such as an
     appended identity) record the transform. Zero rows end at the bottom.
+    Each operation also goes to log, in order, as (p, i, a, b, c, d): rows p
+    and i become a row_p + b row_i and c row_p + d row_i (a swap, row_i -=
+    q row_p or a gcd step), and (p, p, -1, 0, 0, -1) negates row p.
     """
+    record = log.append if log is not None else (lambda op: None)
     nr = len(work)
     piv = 0
     for col in range(ncols):
@@ -118,7 +124,9 @@ def _echelon(work: List[List[int]], ncols: int) -> None:
         k = next((i for i in range(piv, nr) if work[i][col]), None)
         if k is None:
             continue
-        work[piv], work[k] = work[k], work[piv]
+        if k != piv:
+            work[piv], work[k] = work[k], work[piv]
+            record((piv, k, 0, 1, 1, 0))
         for i in range(piv + 1, nr):
             if not work[i][col]:
                 continue
@@ -129,16 +137,19 @@ def _echelon(work: List[List[int]], ncols: int) -> None:
             if x == 1 and y == 0:
                 # a divides b with a > 0: the pivot row stays as it is
                 work[i] = [q - bb * p for p, q in zip(rp, ri)]
-                continue
-            work[piv] = [x * p + y * q for p, q in zip(rp, ri)]
-            work[i] = [-bb * p + aa * q for p, q in zip(rp, ri)]
+            else:
+                work[piv] = [x * p + y * q for p, q in zip(rp, ri)]
+                work[i] = [-bb * p + aa * q for p, q in zip(rp, ri)]
+            record((piv, i, x, y, -bb, aa))  # aa == 1 when x, y == 1, 0
         if work[piv][col] < 0:
             work[piv] = [-x for x in work[piv]]
+            record((piv, piv, -1, 0, 0, -1))
         p = work[piv][col]
         for i in range(piv):
             q = work[i][col] // p
             if q:
                 work[i] = [a - q * b for a, b in zip(work[i], work[piv])]
+                record((piv, i, 1, 0, -q, 1))
         piv += 1
         if piv == nr:
             break
@@ -206,12 +217,19 @@ def det(m: Sequence[Sequence[int]]) -> int:
 def solve_left(
     rows: Sequence[Sequence[int]], target: Sequence[int], ncols: int
 ) -> Optional[IntVector]:
-    """Integer x with x . rows = target, or None if no solution exists."""
+    """Integer x with x . rows = target, or None if no solution exists.
+
+    c with c . H = target comes from back-substitution over H = U rows, and
+    x = c U from the transposes of _echelon's logged operations applied to
+    c, last first, O(1) each: the U of hnf_with_transform, never formed.
+    """
     if len(target) != ncols:
         raise ValueError("solve_left shape mismatch")
     if not rows:
         return () if not any(target) else None
-    h, u = hnf_with_transform(rows, ncols)
+    h = [list(map(int, r)) for r in rows]
+    log: list = []
+    _echelon(h, ncols, log)
     t = [int(x) for x in target]
     coeffs = [0] * len(h)
     for i, row in enumerate(h):
@@ -226,10 +244,10 @@ def solve_left(
             t = [a - q * b for a, b in zip(t, row)]
     if any(t):
         return None
-    nr = len(rows)
-    return tuple(
-        sum(coeffs[i] * u[i][j] for i in range(len(h))) for j in range(nr)
-    )
+    for p, i, a, b, c, d in reversed(log):
+        cp, ci = coeffs[p], coeffs[i]
+        coeffs[p], coeffs[i] = a * cp + c * ci, b * cp + d * ci
+    return tuple(coeffs)
 
 
 def smith_invariants(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:

@@ -156,6 +156,15 @@ def _inner_formal_formal(lat: Lattice, f: FormalVector, g: FormalVector) -> Mark
     return poly
 
 
+def gram_matrix(lat: Lattice, vectors: Sequence[VectorLike]) -> tuple:
+    """Symmetric matrix of the pairings v_i.v_j, from its lower triangle."""
+    rows = [gram_row(lat, v) for v in vectors]
+    lower = [[la.dot(r, v) for v in vectors[: i + 1]] for i, r in enumerate(rows)]
+    for i, row in enumerate(lower):
+        row.extend(lower[j][i] for j in range(i + 1, len(rows)))
+    return tuple(map(tuple, lower))
+
+
 def norm(lat: Lattice, x):
     """Self-intersection x.x, exact (int for integer vectors)."""
     return inner(lat, x, x)
@@ -221,16 +230,8 @@ class Sublattice:
         return la.vecmat(tuple(int(c) for c in coeffs), self.basis)
 
     def as_lattice(self) -> Lattice:
-        """Induced lattice: Gram of the basis rows under the host form.
-
-        The Gram is symmetric, so only its lower triangle is computed; row i
-        is completed by column i of that triangle.
-        """
-        rows = [gram_row(self.host, b) for b in self.basis]
-        lower = [[la.dot(r, b) for b in self.basis[: i + 1]] for i, r in enumerate(rows)]
-        for i, row in enumerate(lower):
-            row.extend(lower[j][i] for j in range(i + 1, len(rows)))
-        return Lattice(tuple(map(tuple, lower)))
+        """Induced lattice: Gram of the basis rows under the host form."""
+        return Lattice(gram_matrix(self.host, self.basis))
 
 
 @dataclass(frozen=True)

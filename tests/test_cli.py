@@ -396,6 +396,37 @@ def test_verify_realize_short_row_exits_2_like_realize(capsys, tmp_path):
     assert code == 2 and vdoc["error"]["code"] == "bad_sublattice"
 
 
+def _tampered_realize(capsys, tmp_path, **fields):
+    code, doc = run_cli(capsys, ["realize"], {"host": "K3", "sublattice": E8_BLOCK}, tmp_path)
+    assert code == 0 and doc["result"]["ok"] is True
+    for key, value in fields.items():
+        target = doc["result"] if key == "eps_bound" else doc["result"]["witness"]
+        target[key] = value
+    return run_cli(capsys, ["verify"], doc, tmp_path)
+
+
+def test_verify_realize_rejects_zero_witness_base(capsys, tmp_path):
+    # the joint kernel of the y_i alone is still the E8 block
+    code, vdoc = _tampered_realize(capsys, tmp_path, base=["0"] * 22)
+    assert code == 1 and vdoc["result"]["ok"] is False
+    assert vdoc["result"]["failures"] == ["witness base square is not positive"]
+
+
+@pytest.mark.parametrize(
+    "fields, failure",
+    [
+        ({"eps_bound": "1000", "eps": "999"}, "eps_bound exceeds the bound of the witness"),
+        ({"eps": "2/41"}, "eps is not in (0, eps_bound)"),
+        ({"eps_bound": "-1"}, "eps is not in (0, eps_bound)"),
+    ],
+    ids=["bound_too_large", "eps_at_bound", "bound_negative"],
+)
+def test_verify_realize_rejects_eps_outside_the_bound(capsys, tmp_path, fields, failure):
+    code, vdoc = _tampered_realize(capsys, tmp_path, **fields)
+    assert code == 1 and vdoc["result"]["ok"] is False
+    assert failure in vdoc["result"]["failures"]
+
+
 def test_output_unwritable_exits_2(capsys, tmp_path):
     path = tmp_path / "missing" / "doc.json"
     code = main(["classify", "--lattice", "U", "--output", str(path)])

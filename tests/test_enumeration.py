@@ -138,6 +138,24 @@ def test_short_vectors_against_brute_force():
         assert short_vectors(lat, bound) == brute_short_vectors(gram, bound)
 
 
+def test_short_vectors_exact_keeps_the_sphere():
+    # odd forms have vectors of norm -1, which the exact filter must drop
+    rng = random.Random(4321)
+    for _ in range(50):
+        lat = Lattice(random_negdef_gram(rng, rng.randint(1, 4)))
+        bound = rng.randint(1, 6)
+        want = [v for v in short_vectors(lat, bound) if norm(lat, v) == -bound]
+        assert short_vectors(lat, bound, exact=True) == want
+
+
+def test_roots_generate_on_an_odd_lattice():
+    # <-1> + <-2> + A2(-1): the norm -1 vector is not a root
+    lat = Lattice(((-1, 0, 0, 0), (0, -2, 0, 0), (0, 0, -2, 1), (0, 0, 1, -2)))
+    rep = roots_generate(lat)
+    assert rep.roots == ((0, 0, 0, 1), (0, 0, 1, 0), (0, 0, 1, 1), (0, 1, 0, 0))
+    assert not rep.generates
+
+
 # --- roots_generate -------------------------------------------------------
 
 

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from k3lag.cli import main
+from k3lag.lattice import direct_sum, e8_lattice, hyperbolic_plane
 
 U3_GRAM = [
     ["1" if j == (i ^ 1) else "0" for j in range(6)] for i in range(6)
@@ -47,6 +48,19 @@ def _formal_omega_payload(run):
     }
 
 
+def _u_e8_e8_payload():
+    # omega-perp is <-12> + E8 + E8, so the certificate solves gamma over the
+    # 240 roots of E8 + E8; gamma = r1 + 2 r2 - r3 with r1, r2 in the first
+    # E8 and r3 in the second
+    host = direct_sum(hyperbolic_plane(), e8_lattice(), e8_lattice())
+    gamma = [0, 0, 1, 2, 3, 4, 3, 4, 3, 3] + [0] * 7 + [-1]
+    return {
+        "host": _gram(host.gram),
+        "omega": ["3", "2"] + ["0"] * 16,
+        "gamma": [str(x) for x in gamma],
+    }
+
+
 def _k3_vector(*coords):
     return [str(x) for x in coords] + ["0"] * (22 - len(coords))
 
@@ -66,6 +80,7 @@ CASES = {
     "decompose_u3_minus": (
         ["decompose", "--root-choice", "-"], _decompose_payload([0, 0, 1, 0, 0, 0])),
     "decompose_formal_omega": (["decompose"], _formal_omega_payload),
+    "decompose_u_e8_e8": (["decompose"], _u_e8_e8_payload()),
     "roots_e8": (["roots", "--lattice", "E8"], None),
     "roots_u_minus2": (
         ["roots"], {"lattice": _gram([[0, 1, 0], [1, 0, 0], [0, 0, -2]])}),
@@ -113,6 +128,10 @@ GOLDEN = {
         '4df7ea16d73a14fa3370e51757025554aa63fc8271246ae260851366b703ccf8'),
     'decompose_u3_minus': (
         '7e4069c844f1b5415a7a2d95f835b9337b5379215b31f920a829f567f308cc25',
+        '4df7ea16d73a14fa3370e51757025554aa63fc8271246ae260851366b703ccf8'),
+    # recorded before solve_left stopped building the m x m transform
+    'decompose_u_e8_e8': (
+        '6ec23c05066dd5b1f40b16923029f6a4c6c3290be52faee69aaccaded8472ad3',
         '4df7ea16d73a14fa3370e51757025554aa63fc8271246ae260851366b703ccf8'),
     'eichler_k3': (
         '6f4ddb9e89ab5be95023fb7c0eda921938e9b34a797474756663579b3a1b0479',

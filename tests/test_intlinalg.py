@@ -128,6 +128,92 @@ def test_solve_left_roundtrip(m, data):
     )
 
 
+def _solve_left_via_transform(rows, target, ncols):
+    """Reference solve: back-substitute over H, then x = c U with the whole
+    transform U of hnf_with_transform."""
+    if not rows:
+        return () if not any(target) else None
+    h, u = la.hnf_with_transform(rows, ncols)
+    t = list(target)
+    coeffs = [0] * len(h)
+    for i, row in enumerate(h):
+        if not any(row):
+            break
+        p = next(j for j, x in enumerate(row) if x)
+        if t[p] % row[p]:
+            return None
+        coeffs[i] = t[p] // row[p]
+        t = [a - coeffs[i] * b for a, b in zip(t, row)]
+    if any(t):
+        return None
+    return tuple(sum(c * u[i][j] for i, c in enumerate(coeffs)) for j in range(len(rows)))
+
+
+def _seeded_system(rng):
+    nr, nc = rng.randint(1, 9), rng.randint(1, 6)
+    rows = [[rng.randint(-6, 6) for _ in range(nc)] for _ in range(nr)]
+    kind = rng.randrange(4)
+    if kind == 1:  # rank deficient: every row a combination of two
+        a, b = rows[0], rows[-1]
+        rows = [[rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(a, b)]
+                for _ in range(nr)]
+    elif kind == 2:  # zero rows mixed in
+        for i in rng.sample(range(nr), rng.randint(1, nr)):
+            rows[i] = [0] * nc
+    elif kind == 3:  # a basis already in HNF, as Sublattice.coords_of passes it
+        rows = [list(r) for r in la.hnf(rows, nc)] or [[0] * nc]
+    coeffs = [rng.randint(-4, 4) for _ in rows]
+    target = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(nc)]
+    if rng.random() < 0.4:  # often outside the row lattice
+        target[rng.randrange(nc)] += rng.randint(1, 3)
+    return rows, tuple(target), nc
+
+
+def test_solve_left_matches_the_transform_solve():
+    rng = random.Random(8080)
+    outcomes = set()
+    for _ in range(600):
+        rows, target, nc = _seeded_system(rng)
+        x = la.solve_left(rows, target, nc)
+        assert x == _solve_left_via_transform(rows, target, nc)
+        if x is not None:
+            assert tuple(sum(c * r[j] for c, r in zip(x, rows)) for j in range(nc)) == target
+        outcomes.add(x is None)
+    assert outcomes == {True, False}
+
+
+def test_solve_left_edge_cases():
+    assert la.solve_left((), (0, 0), 2) == ()
+    assert la.solve_left((), (0, 1), 2) is None
+    assert la.solve_left(((0, 0), (0, 0)), (0, 0), 2) == (0, 0)
+    assert la.solve_left(((0, 0), (0, 0)), (1, 0), 2) is None
+    assert la.solve_left(((2, 0), (0, 3)), (1, 0), 2) is None
+    assert la.solve_left(((-2, 4),), (2, -4), 2) == (-1,)
+    with pytest.raises(ValueError):
+        la.solve_left(((1, 0),), (1,), 2)
+
+
+def test_solve_left_on_the_e8_e8_roots():
+    from k3lag.enumeration import roots_generate
+    from k3lag.lattice import direct_sum, e8_lattice
+
+    roots = roots_generate(direct_sum(e8_lattice(), e8_lattice())).roots
+    assert len(roots) == 240
+    rng = random.Random(16)
+    for _ in range(3):
+        picks = rng.sample(range(240), 3)
+        target = tuple(
+            sum(c * roots[i][j] for c, i in zip((1, 2, -1), picks)) for j in range(16)
+        )
+        x = la.solve_left(roots, target, 16)
+        assert x == _solve_left_via_transform(roots, target, 16)
+        assert tuple(sum(c * r[j] for c, r in zip(x, roots)) for j in range(16)) == target
+    # the roots generate E8 + E8; those of the first factor miss the second
+    assert la.solve_left(roots, (0,) * 15 + (1,), 16) is not None
+    first = [r for r in roots if not any(r[8:])]
+    assert len(first) == 120 and la.solve_left(first, (0,) * 15 + (1,), 16) is None
+
+
 @given(m=matrices)
 @settings(max_examples=100, deadline=None)
 def test_smith_invariants_divide_and_match_det(m):
