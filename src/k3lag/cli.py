@@ -236,7 +236,7 @@ def _run_classify(lat: Lattice):
 def _run_roots(lat: Lattice):
     rep = roots_generate(lat)
     result = {
-        "count": rep.count,
+        "count": len(rep.roots),
         "generates": rep.generates,
         "roots": rep.roots,
         "generation_basis": rep.generation_basis,

@@ -273,9 +273,11 @@ def certificate_for(host: Lattice, omega, gamma) -> SlagCertificate:
         for c, row in zip(rad_coeffs, rad.basis)
         if c != 0
     ]
-    roots = report.root_report.roots
+    rep = report.root_report  # replay the elimination of the root list
+    roots = rep.roots
     solution = (
-        la.solve_left(roots, n_coeffs, len(n_coeffs)) if roots else None
+        la.solve_logged(rep.generation_basis.basis, rep._log, len(roots), n_coeffs)
+        if roots else None
     )
     if solution is None and any(n_coeffs):
         obstruction = sub.to_host(la.vecmat(n_coeffs, n_rows))

@@ -8,12 +8,14 @@ forms F_k = (V P)_k are integer rows and the weights are 1 / diag_k, so
 only the slice centre's denominator and the lcm of q^2 diag_k are scaled
 away once per call, and the search itself runs on ints alone, with
 integer interval bounds from isqrt (no Fraction in the loop, never a
-float). Also root reports and positive/isotropic searches. Completeness is
-the contract: enumerations return exactly the stated finite sets.
+float); root lists and slices visit only the shell P(x - c) == bound. Also
+root reports (one logged elimination per root list) and positive/isotropic
+searches. Completeness is the contract: enumerations return exactly the
+stated finite sets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
@@ -49,18 +51,19 @@ class RootReport:
 
     roots holds one representative per +-pair (first nonzero coordinate
     positive, lexicographically sorted); generates is true iff their span
-    has index 1 in the host.
+    has index 1 in the host. _log holds the row operations that took roots
+    to generation_basis, for solves over the roots (la.solve_logged).
     """
 
     roots: Tuple[IntVec, ...]
-    count: int
     generates: bool
     generation_basis: Optional[Sublattice]
+    _log: tuple = field(default=(), repr=False, compare=False)
 
 
 def _ellipsoid_points(
-    pd, dec, center: Tuple[Fraction, ...], bound: Fraction
-) -> Iterator[Tuple[IntVec, Fraction]]:
+    pd, dec, center: Tuple[Fraction, ...], bound: Fraction, shell: bool = False
+) -> Iterator:
     """Integer points x with P(x - center) <= bound, with the exact value.
 
     dec = (diag, V) is la.symmetric_diagonalize of the definite form P = pd,
@@ -73,6 +76,10 @@ def _ellipsoid_points(
     e_k = D / (q^2 diag_k). The search then runs on ints alone: level k
     admits |L_k| <= isqrt(rest // e_k). Levels go n-1 down to 0 and values
     ascend within a level, so the order is deterministic.
+
+    With shell, only the x with P(x - c) == bound, as bare tuples in the
+    same order: level 0 takes the whole rest, L_0 = +-isqrt(rest // e_0)
+    when that is exact, and no value is formed or compared.
     """
     diag, basis = dec
     if any(d <= 0 for d in diag):
@@ -82,7 +89,8 @@ def _ellipsoid_points(
     if bound < 0:
         return
     if n == 0:
-        yield (), Fraction(0)
+        if bound == 0 or not shell:
+            yield () if shell else ((), Fraction(0))
         return
     q = lcm(*(c.denominator for c in center))
     cq = [int(c * q) for c in center]  # q * centre
@@ -96,11 +104,18 @@ def _ellipsoid_points(
     x = [0] * n
     y = [0] * n  # q * (x_j - c_j) on the levels already fixed
 
-    def rec(k: int, rest: int) -> Iterator[Tuple[IntVec, Fraction]]:
+    def rec(k: int, rest: int) -> Iterator:
         c = -forms[k][k] * cq[k]
         for j, m in terms[k]:
             c += m * y[j]
         r = isqrt(rest // e[k])
+        if shell and not k:
+            # e_0 t^2 must take the whole rest: t = -r or r (once if 0)
+            for t in range(-r, r + 1, 2 * r or 1) if e[0] * r * r == rest else ():
+                if (t - c) % step[0] == 0:
+                    x[0] = (t - c) // step[0]
+                    yield tuple(x)
+            return
         for v in range(-((r + c) // step[k]), (r - c) // step[k] + 1):
             x[k] = v
             t = step[k] * v + c
@@ -125,34 +140,32 @@ def short_vectors(lat: Lattice, bound: int, exact: bool = False) -> List[IntVec]
     """All x with 0 < -x.x <= bound, one per +-pair, lexicographic.
 
     Complete: misses nothing within the bound. With exact, only the x with
-    -x.x == bound, read off the value the enumeration yields.
+    -x.x == bound, from the shell enumeration.
     """
     _require_negative_definite(lat)
     if bound < 1:
         raise ValueError("bound must be a positive integer")
     pd = tuple(tuple(-g for g in row) for row in lat.gram)
     zero = tuple(Fraction(0) for _ in range(lat.rank))
-    out = []
     dec = la.symmetric_diagonalize(pd)
-    for x, q in _ellipsoid_points(pd, dec, zero, Fraction(bound)):
-        if q == 0 or (exact and q != bound):
-            continue
-        if sign_normalized(x) == x:
-            out.append(x)
-    out.sort()
-    return out
+    points = _ellipsoid_points(pd, dec, zero, Fraction(bound), shell=exact)
+    if not exact:
+        points = (x for x, q in points if q)
+    return sorted(x for x in points if sign_normalized(x) == x)
 
 
 def roots_generate(lat: Lattice) -> RootReport:
-    """Enumerate all norm -2 roots and test index-1 generation."""
+    """All norm -2 roots; one logged elimination gives their span's HNF."""
     if lat.rank == 0:
         # the zero lattice is generated by the empty root set
-        return RootReport((), 0, True, None)
+        return RootReport((), True, None)
     roots = tuple(short_vectors(lat, 2, exact=True))
     if not roots:
-        return RootReport((), 0, False, None)
-    span = Sublattice.from_generators(lat, roots)
-    return RootReport(roots, len(roots), span.is_full(), span)
+        return RootReport((), False, None)
+    h, log = [list(r) for r in roots], []
+    la._echelon(h, lat.rank, log)
+    span = Sublattice(lat, tuple(tuple(r) for r in h if any(r)))
+    return RootReport(roots, span.is_full(), span, tuple(log))
 
 
 def find_positive(lat: Lattice) -> Optional[IntVec]:
@@ -221,11 +234,12 @@ def root_slice(lat: Lattice, w, bound: int, lower: int = 0) -> List[IntVec]:
     makes the slice finite; the listing is complete and lexicographic. The
     lower end (default 0, at least 0) cuts the slice to the levels above
     it, so root_slice(lat, w, a + 1, a - 1) is the single level delta.w = a.
+    Level a is one shell: delta = x_a + c M (x_a.w = a, M the complement
+    basis) has square -2 iff P(c - u) = x_a.x_a + 2 + t.u for the negated
+    complement form P, t = (x_a.M_i) and u = P^-1 t.
     """
     wv = tuple(int(c) for c in w)
-    if len(wv) != lat.rank:
-        raise NotPositive("vector length differs from lattice rank")
-    w2 = norm(lat, wv)
+    w2 = norm(lat, wv)  # raises RankMismatch for a w of the wrong length
     if w2 <= 0:
         raise NotPositive(f"w.w = {w2} must be positive")
     if bound < 1:
@@ -252,14 +266,8 @@ def root_slice(lat: Lattice, w, bound: int, lower: int = 0) -> List[IntVec]:
         if k:
             u = la.matvec(pinv, t)
             r = Fraction(s0 + 2) + sum(t[i] * u[i] for i in range(k))
-            if r < 0:
-                continue
-            for c, q in _ellipsoid_points(pd, dec, u, r):
-                if q == r:
-                    delta = tuple(
-                        x + y for x, y in zip(xa, la.vecmat(c, m))
-                    )
-                    out.append(delta)
+            for c in _ellipsoid_points(pd, dec, u, r, shell=True):
+                out.append(tuple(x + y for x, y in zip(xa, la.vecmat(c, m))))
         else:
             if s0 == -2:
                 out.append(xa)

@@ -20,6 +20,7 @@ from .errors import (
     ZeroVector,
 )
 from .exact import content, rational_direction
+from .intlinalg import dot
 from .lattice import Isometry, Lattice, gram_row, inner, norm
 
 IntVec = Tuple[int, ...]
@@ -96,15 +97,16 @@ def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
     levels = {}  # a -> sorted roots with delta.omega = a
     while True:
         delta = None
+        row = gram_row(lat, cur)  # cur's pairings, dotted with each root
         for a in range(step, trace[-1], step):
             if a not in levels:
                 levels[a] = root_slice(lat, ov, a + 1, a - 1)
-            delta = next((d for d in levels[a] if inner(lat, d, cur) < 0), None)
+            delta = next((d for d in levels[a] if dot(row, d) < 0), None)
             if delta is not None:
                 break
         if delta is None:
             break
-        coupling = inner(lat, cur, delta)
+        coupling = dot(row, delta)
         cur = tuple(c + coupling * d for c, d in zip(cur, delta))
         if norm(lat, cur) != 0:
             raise ImpossibleState("reflection broke isotropy")

@@ -9,7 +9,8 @@ run over Z: the xgcd echelon of the HNF (kernels, solving, Smith invariants)
 and fraction-free Bareiss steps (determinant, the congruence diagonalization
 behind signatures and Fincke-Pohst, the Gauss-Jordan inverse). Only
 kernels build the echelon's whole transform; a solve replays its logged
-row operations on one vector. Fraction is left only at the edge:
+row operations on one vector, so a logged elimination serves every later
+solve over the same rows. Fraction is left only at the edge:
 frac_inverse's returned entries and integral_row.
 """
 from __future__ import annotations
@@ -217,12 +218,7 @@ def det(m: Sequence[Sequence[int]]) -> int:
 def solve_left(
     rows: Sequence[Sequence[int]], target: Sequence[int], ncols: int
 ) -> Optional[IntVector]:
-    """Integer x with x . rows = target, or None if no solution exists.
-
-    c with c . H = target comes from back-substitution over H = U rows, and
-    x = c U from the transposes of _echelon's logged operations applied to
-    c, last first, O(1) each: the U of hnf_with_transform, never formed.
-    """
+    """Integer x with x . rows = target, or None: a logged elimination, replayed."""
     if len(target) != ncols:
         raise ValueError("solve_left shape mismatch")
     if not rows:
@@ -230,8 +226,18 @@ def solve_left(
     h = [list(map(int, r)) for r in rows]
     log: list = []
     _echelon(h, ncols, log)
+    return solve_logged(h, log, len(h), target)
+
+
+def solve_logged(h, log, nrows: int, target: Sequence[int]) -> Optional[IntVector]:
+    """solve_left from _echelon's result H = U rows (nonzero rows suffice) and log.
+
+    c with c . H = target comes from back-substitution over H, and x = c U
+    from the transposes of the nrows-row log applied to c, last first, O(1)
+    each: the U of hnf_with_transform, never formed.
+    """
     t = [int(x) for x in target]
-    coeffs = [0] * len(h)
+    coeffs = [0] * nrows
     for i, row in enumerate(h):
         if not any(row):
             break

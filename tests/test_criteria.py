@@ -257,6 +257,29 @@ def test_split_certificate_enumerates_roots_once(K3, monkeypatch):
     assert rep.root_report.roots == real(rep.n_part).roots
 
 
+def test_split_certificate_eliminates_its_root_list_once(monkeypatch):
+    # the solve replays the elimination roots_generate logged for the span
+    from k3lag.lattice import direct_sum, e8_lattice, hyperbolic_plane
+
+    host = direct_sum(hyperbolic_plane(), e8_lattice())
+    omega = (1, 1) + (0,) * 8  # omega-perp = <-2> + E8, the Split case
+    gamma = (1, -1, 1) + (0,) * 7  # square -4
+    real = la._echelon
+    seen = []
+
+    def logging_echelon(work, ncols, log=None):
+        seen.append([tuple(r) for r in work])
+        return real(work, ncols, log)
+
+    monkeypatch.setattr(la, "_echelon", logging_echelon)
+    cert = certificate_for(host, omega, gamma)
+    monkeypatch.setattr(la, "_echelon", real)
+    assert verify_certificate(lag_lattice(host, omega), gamma, cert)
+    rep = classify(lag_lattice(host, omega).as_lattice())
+    assert rep.case == "Split" and len(rep.root_report.roots) == 121
+    assert seen.count(list(rep.root_report.roots)) == 1
+
+
 def test_certificate_split_obstruction(U3):
     # Lag = <e1 - 2f1> (square -4, no roots): certificates must refuse
     target = Sublattice.from_generators(U3, [v6(1, -2)])

@@ -15,7 +15,7 @@ from k3lag.enumeration import (
     roots_generate,
     short_vectors,
 )
-from k3lag.errors import NotNegativeDefinite, NotPositive
+from k3lag.errors import NotNegativeDefinite, NotPositive, RankMismatch
 from k3lag.exact import sign_normalized
 from k3lag.lattice import (
     Lattice,
@@ -161,18 +161,18 @@ def test_roots_generate_on_an_odd_lattice():
 
 def test_roots_generate_vectors(E8):
     rep = roots_generate(E8)
-    assert rep.generates and rep.count == 120
+    assert rep.generates and len(rep.roots) == 120
     assert rep.generation_basis.is_full()
     rep4 = roots_generate(from_diagonal([-4]))
     assert rep4.roots == () and not rep4.generates
     rep2 = roots_generate(from_diagonal([-2]))
-    assert rep2.generates and rep2.count == 1
+    assert rep2.generates and len(rep2.roots) == 1
 
 
 def test_roots_generate_index_two_case():
     # <-2> + <-8>: roots span only the first factor
     rep = roots_generate(from_diagonal([-2, -8]))
-    assert rep.count == 1 and not rep.generates
+    assert len(rep.roots) == 1 and not rep.generates
 
 
 def test_roots_generation_basis_index_one(E8):
@@ -259,6 +259,12 @@ def test_root_slice_requires_positive(U_minus2):
         root_slice(U_minus2, (3, 2, 1), 3, -1)
 
 
+def test_root_slice_rejects_a_w_of_the_wrong_length(U_minus2):
+    for w in ((3, 2), (3, 2, 1, 0)):
+        with pytest.raises(RankMismatch):
+            root_slice(U_minus2, w, 3)
+
+
 def test_root_slice_lower_end_matches_brute():
     # one brute listing per host, cut to every window lower < delta.w < bound;
     # no root of these slices has a coordinate above 3, so box 12 is ample
@@ -300,7 +306,8 @@ def test_root_slice_pointwise_and_brute():
 # --- the integer-scaled ellipsoid engine ---------------------------------
 
 
-def test_ellipsoid_points_against_box_scan():
+def _ellipsoid_cases():
+    """The seeded forms, and (pd, dec, center, bound) for each case."""
     rng = random.Random(907)
     forms = [((2, 1), (1, 3)), ((2, 1, 0), (1, 3, 1), (0, 1, 2))]
     for rank in (2, 3, 3, 4):
@@ -308,7 +315,7 @@ def test_ellipsoid_points_against_box_scan():
         forms.append(tuple(tuple(-g for g in row) for row in gram))
     # the first form's weights 1 / diag_k need a scale other than 1
     assert lcm(*la.symmetric_diagonalize(forms[0])[0]) != 1
-    on_boundary = 0
+    cases = []
     for pd in forms:
         dec = la.symmetric_diagonalize(pd)
         for den in (2, 3, 6):
@@ -319,11 +326,43 @@ def test_ellipsoid_points_against_box_scan():
             p = [round(c) + rng.randint(-1, 1) for c in center]
             attained = _form_value(pd, [a - c for a, c in zip(p, center)])
             other = Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 5)))
-            for bound in (attained, other):
-                got = list(_ellipsoid_points(pd, dec, center, bound))
-                assert got == brute_ellipsoid(pd, center, bound), (pd, center, bound)
-                on_boundary += sum(1 for _, q in got if q == bound)
+            cases += [(pd, dec, center, bound) for bound in (attained, other)]
+    return forms, cases
+
+
+def test_ellipsoid_points_against_box_scan():
+    forms, cases = _ellipsoid_cases()
+    on_boundary = 0
+    for pd, dec, center, bound in cases:
+        got = list(_ellipsoid_points(pd, dec, center, bound))
+        assert got == brute_ellipsoid(pd, center, bound), (pd, center, bound)
+        on_boundary += sum(1 for _, q in got if q == bound)
     assert on_boundary >= 3 * len(forms)
+
+
+def test_ellipsoid_shell_against_box_scan():
+    # the shell is the box scan cut to value == bound, in the same order
+    cases = _ellipsoid_cases()[1]
+    nonempty = empty = 0
+    for pd, dec, center, bound in cases:
+        want = [x for x, q in brute_ellipsoid(pd, center, bound) if q == bound]
+        got = list(_ellipsoid_points(pd, dec, center, bound, shell=True))
+        assert got == want, (pd, center, bound)
+        nonempty += bool(got)
+        # a value of P(x - c) has a denominator dividing 36 here, never 5
+        empty += bound.denominator == 5 and not got
+    assert nonempty >= len(cases) // 2 and empty >= 1  # every attained bound
+    # an unattained integer bound: 2a^2 + 2ab + 3b^2 takes no value 1
+    pd = ((2, 1), (1, 3))
+    dec = la.symmetric_diagonalize(pd)
+    zero = (Fraction(0), Fraction(0))
+    assert list(_ellipsoid_points(pd, dec, zero, Fraction(1), shell=True)) == []
+    assert list(_ellipsoid_points(pd, dec, zero, Fraction(2), shell=True)) == [
+        (-1, 0), (1, 0)
+    ]
+    assert list(_ellipsoid_points((), ((), ()), (), Fraction(0), shell=True)) == [()]
+    assert list(_ellipsoid_points((), ((), ()), (), Fraction(3), shell=True)) == []
+    assert list(_ellipsoid_points(pd, dec, zero, Fraction(-1), shell=True)) == []
 
 
 def test_ellipsoid_points_empty_and_zero_rank():

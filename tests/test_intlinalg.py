@@ -214,6 +214,37 @@ def test_solve_left_on_the_e8_e8_roots():
     assert len(first) == 120 and la.solve_left(first, (0,) * 15 + (1,), 16) is None
 
 
+def test_solve_logged_replays_the_root_list_elimination():
+    # roots_generate eliminates the root list once; solve_logged over its
+    # basis and log must give solve_left's vector, or None with it
+    from k3lag.enumeration import roots_generate
+    from k3lag.lattice import direct_sum, e8_lattice, from_diagonal
+
+    rep = roots_generate(direct_sum(e8_lattice(), e8_lattice()))
+    roots = rep.roots
+    first = [r for r in roots if not any(r[8:])]
+    h, log = [list(r) for r in first], []
+    la._echelon(h, 16, log)
+    small = roots_generate(from_diagonal([-2, -8]))  # index 2: (0, 1) is outside
+    systems = [
+        (small.roots, small.generation_basis.basis, small._log, (0, 1)),
+        (small.roots, small.generation_basis.basis, small._log, (3, 0)),
+    ]
+    rng = random.Random(2416)
+    for _ in range(12):
+        target = tuple(rng.randint(-5, 5) for _ in range(16))
+        systems.append((roots, rep.generation_basis.basis, rep._log, target))
+        systems.append((first, h, log, target))  # None unless target[8:] == 0
+        half = target[:8] + (0,) * 8
+        systems.append((first, h, log, half))
+    outcomes = set()
+    for rows, basis, ops, target in systems:
+        x = la.solve_logged(basis, ops, len(rows), target)
+        assert x == la.solve_left(rows, target, len(target))
+        outcomes.add(x is None)
+    assert outcomes == {True, False}
+
+
 @given(m=matrices)
 @settings(max_examples=100, deadline=None)
 def test_smith_invariants_divide_and_match_det(m):
