@@ -8,10 +8,11 @@ forms F_k = (V P)_k are integer rows and the weights are 1 / diag_k, so
 only the slice centre's denominator and the lcm of q^2 diag_k are scaled
 away once per call, and the search itself runs on ints alone, with
 integer interval bounds from isqrt (no Fraction in the loop, never a
-float); root lists and slices visit only the shell P(x - c) == bound. Also
-root reports (one logged elimination per root list) and positive/isotropic
-searches. Completeness is the contract: enumerations return exactly the
-stated finite sets.
+float); root lists and slices visit only the shell P(x - c) == bound, and
+a _Slice yields each root level delta.w = a lazily in lexicographic order
+from one complement of w. Also root reports (one logged elimination per
+root list) and positive/isotropic searches. Completeness is the contract:
+enumerations return exactly the stated finite sets.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
+from operator import mul
 from typing import Iterator, List, Optional, Tuple
 
 from . import intlinalg as la
@@ -28,7 +30,6 @@ from .lattice import (
     Lattice,
     Sublattice,
     gram_row,
-    inner,
     norm,
     orth_complement,
     radical,
@@ -227,6 +228,46 @@ def find_isotropic(lat: Lattice, height: int = 10):
     return Unknown(height)
 
 
+class _Slice:
+    """The root levels delta.w = a of one (lattice, w), from one complement.
+
+    It holds the complement M of w with its HNF rows reversed, the negated
+    Gram P of that basis, its diagonalization, P^-1 for the centre solve,
+    one solution of x.w = d (d the content of w's pairing row) and, per
+    host column, the nonzero entries of M. Level a is one shell:
+    delta = x_a + c M (x_a.w = a) has square -2 iff P(c - u) = x_a.x_a + 2
+    + t.u, t = (x_a.M_i), u = P^-1 t. HNF pivots are positive and echelon,
+    so host order is lexicographic order of c over the HNF rows; reversed,
+    c_0 is the engine's outermost level and each level comes out sorted.
+    """
+
+    def __init__(self, lat: Lattice, w: IntVec):
+        comp = orth_complement(lat, [w])
+        comp_lat = comp.as_lattice()
+        _require_negative_definite(comp_lat)
+        self.lat, self.rows = lat, comp.basis[::-1]
+        self.pd = tuple(tuple(-g for g in row[::-1]) for row in comp_lat.gram[::-1])
+        self.dec = la.symmetric_diagonalize(self.pd)
+        self.pinv = la.frac_inverse(self.pd) if self.rows else ()
+        gw = gram_row(lat, w)
+        self.d = content(gw)  # d >= 1: w.w > 0 forces a nonzero pairing row
+        self.sol = _pairing_solution(gw, self.d)
+        rows = self.rows
+        self.cols = [[(i, r[j]) for i, r in enumerate(rows) if r[j]] for j in range(len(w))]
+
+    def level(self, a: int) -> Iterator[IntVec]:
+        """The roots with delta.w = a, lazily, in lexicographic order."""
+        if a % self.d:
+            return
+        xa = tuple((a // self.d) * c for c in self.sol)
+        gx = gram_row(self.lat, xa)
+        t = la.matvec(self.rows, gx)
+        u = la.matvec(self.pinv, t)
+        r = Fraction(la.dot(gx, xa) + 2) + sum(map(mul, t, u))
+        for c in _ellipsoid_points(self.pd, self.dec, u, r, shell=True):
+            yield tuple(x + sum(c[i] * m for i, m in col) for x, col in zip(xa, self.cols))
+
+
 def root_slice(lat: Lattice, w, bound: int, lower: int = 0) -> List[IntVec]:
     """All roots delta with delta.delta = -2 and lower < delta.w < bound.
 
@@ -234,9 +275,7 @@ def root_slice(lat: Lattice, w, bound: int, lower: int = 0) -> List[IntVec]:
     makes the slice finite; the listing is complete and lexicographic. The
     lower end (default 0, at least 0) cuts the slice to the levels above
     it, so root_slice(lat, w, a + 1, a - 1) is the single level delta.w = a.
-    Level a is one shell: delta = x_a + c M (x_a.w = a, M the complement
-    basis) has square -2 iff P(c - u) = x_a.x_a + 2 + t.u for the negated
-    complement form P, t = (x_a.M_i) and u = P^-1 t.
+    The levels come from one _Slice, each already sorted.
     """
     wv = tuple(int(c) for c in w)
     w2 = norm(lat, wv)  # raises RankMismatch for a w of the wrong length
@@ -246,33 +285,8 @@ def root_slice(lat: Lattice, w, bound: int, lower: int = 0) -> List[IntVec]:
         raise ValueError("bound must be a positive integer")
     if lower < 0:
         raise ValueError("lower must be a non-negative integer")
-    comp = orth_complement(lat, [wv])
-    comp_lat = comp.as_lattice()
-    _require_negative_definite(comp_lat)
-    m = comp.basis
-    k = len(m)
-    gw = gram_row(lat, wv)
-    d = content(gw)  # d >= 1: w.w > 0 forces a nonzero pairing row
-    # one solution of x.w = d, scaled for each admissible pairing value
-    sol = _pairing_solution(gw, d)
-    pd = tuple(tuple(-g for g in row) for row in comp_lat.gram)
-    pinv = la.frac_inverse(pd) if k else ()
-    dec = la.symmetric_diagonalize(pd)
-    out = []
-    for a in range((lower // d + 1) * d, bound, d):
-        xa = tuple((a // d) * c for c in sol)
-        s0 = norm(lat, xa)
-        t = tuple(inner(lat, xa, row) for row in m)
-        if k:
-            u = la.matvec(pinv, t)
-            r = Fraction(s0 + 2) + sum(t[i] * u[i] for i in range(k))
-            for c in _ellipsoid_points(pd, dec, u, r, shell=True):
-                out.append(tuple(x + y for x, y in zip(xa, la.vecmat(c, m))))
-        else:
-            if s0 == -2:
-                out.append(xa)
-    out.sort()
-    return out
+    sl = _Slice(lat, wv)  # its levels off the multiples of d are empty
+    return sorted(x for a in range(lower + 1, bound) for x in sl.level(a))
 
 
 def _pairing_solution(gw, target: int) -> IntVec:

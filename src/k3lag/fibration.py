@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from .eichler import CanonicalFormResult, _block_witnesses
-from .enumeration import root_slice
+from .enumeration import _Slice, root_slice
 from .errors import (
     ImpossibleState,
     NotIsotropic,
@@ -19,7 +19,7 @@ from .errors import (
     WrongSide,
     ZeroVector,
 )
-from .exact import content, rational_direction
+from .exact import rational_direction
 from .intlinalg import dot
 from .lattice import Isometry, Lattice, gram_row, inner, norm
 
@@ -33,7 +33,8 @@ class NefWalkResult:
     pairing_trace starts with the initial ell.omega and appends the value
     after each reflection; it is strictly decreasing and positive, which
     makes termination observable rather than assumed. The final class pairs
-    non-negatively with every root in the remaining slice.
+    non-negatively with every root in the remaining slice; make_nef checks
+    that against the whole root_slice before it returns.
     """
 
     nef_class: IntVec
@@ -73,12 +74,14 @@ def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
     current ell.omega (the reflected pairing stays positive exactly when
     delta.omega is below that bound), where d is the content of omega's
     pairing row, since no root pairs with omega outside those multiples.
-    It stops at the first level holding roots with delta.ell < 0; the
-    lexicographically smallest of those is the reflection. So the tie-break
-    is minimal delta.omega, then lexicographic order, and only the levels
-    up to the chosen one are enumerated. Levels depend on omega alone, so
-    later steps reuse them. Each step preserves ell.ell = 0 and strictly
-    decreases ell.omega, so the walk terminates.
+    One _Slice, built once per walk (so an omega whose complement is not
+    negative definite is refused whatever ell is), yields each level lazily
+    in lexicographic order, and the step stops at the first root with
+    delta.ell < 0: the tie-break is minimal delta.omega, then lexicographic
+    order. Later steps reuse the roots seen and resume the rest. Each step
+    preserves ell.ell = 0 and strictly decreases ell.omega, so the walk
+    terminates; a root of the final root_slice pairing negatively with the
+    result raises ImpossibleState.
     """
     ov = tuple(int(c) for c in omega)
     lv = tuple(int(c) for c in ell)
@@ -90,18 +93,23 @@ def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
     pairing = inner(lat, lv, ov)
     if pairing <= 0:
         raise WrongSide(f"ell.omega = {pairing} must be positive")
-    step = content(gram_row(lat, ov))
+    sl = _Slice(lat, ov)
     trace = [pairing]
     used = []
     cur = lv
-    levels = {}  # a -> sorted roots with delta.omega = a
+    levels = {}  # a -> (roots seen, in order, and the rest of the level)
     while True:
         delta = None
         row = gram_row(lat, cur)  # cur's pairings, dotted with each root
-        for a in range(step, trace[-1], step):
-            if a not in levels:
-                levels[a] = root_slice(lat, ov, a + 1, a - 1)
-            delta = next((d for d in levels[a] if dot(row, d) < 0), None)
+        for a in range(sl.d, trace[-1], sl.d):
+            seen, rest = levels.setdefault(a, ([], sl.level(a)))
+            delta = next((d for d in seen if dot(row, d) < 0), None)
+            if delta is None:
+                for d in rest:  # extend the level only up to its first hit
+                    seen.append(d)
+                    if dot(row, d) < 0:
+                        delta = d
+                        break
             if delta is not None:
                 break
         if delta is None:
@@ -115,6 +123,9 @@ def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
             raise ImpossibleState("pairing trace failed to decrease")
         used.append(delta)
         trace.append(now)
+    # row pairs with the final class: check it against the whole slice
+    if any(dot(row, d) < 0 for d in root_slice(lat, ov, trace[-1])):
+        raise ImpossibleState("a root below the final pairing pairs negatively")
     return NefWalkResult(cur, tuple(used), tuple(trace))
 
 

@@ -42,15 +42,13 @@ def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
     if a and b and len(a[0]) != len(b):
         raise ValueError("matmul shape mismatch")
     bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def matvec(m: Sequence[Sequence], v: Sequence) -> tuple:
     if m and len(m[0]) != len(v):
         raise ValueError("matvec shape mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def vecmat(v: Sequence, m: Sequence[Sequence]) -> tuple:
@@ -64,7 +62,7 @@ def vecmat(v: Sequence, m: Sequence[Sequence]) -> tuple:
 def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError("dot shape mismatch")
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:

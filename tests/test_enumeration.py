@@ -9,6 +9,7 @@ from k3lag import intlinalg as la
 from k3lag.enumeration import (
     Unknown,
     _ellipsoid_points,
+    _Slice,
     find_isotropic,
     find_positive,
     root_slice,
@@ -301,6 +302,33 @@ def test_root_slice_pointwise_and_brute():
                 assert norm(lat, d) == -2
                 assert 0 < inner(lat, d, w) < bound
             assert got == brute_root_slice(lat.gram, w, bound)
+
+
+def test_slice_levels_are_sorted_and_match_brute():
+    # (host, w, levels below, box); a box twice as wide finds no further
+    # root on these levels
+    cases = [
+        # dense w: every complement row has two nonzero entries
+        (direct_sum(hyperbolic_plane(), from_diagonal([-2, -2])), (3, 2, 1, 1), 6, 6),
+        (direct_sum(hyperbolic_plane(), from_diagonal([-2])), (3, 2, 1), 7, 12),
+        # content 2: the odd levels are empty
+        (direct_sum(hyperbolic_plane(), from_diagonal([-2])), (2, 2, 0), 9, 12),
+        # rank-1 complement
+        (Lattice(((2, 1), (1, -2))), (1, 0), 40, 60),
+    ]
+    slices = [_Slice(lat, w) for lat, w, _, _ in cases]
+    assert all(sum(map(bool, row)) >= 2 for row in slices[0].rows)
+    assert slices[2].d == 2 and len(slices[3].rows) == 1
+    longest = 0
+    for (lat, w, bound, box), sl in zip(cases, slices):
+        brute = brute_root_slice(lat.gram, w, bound, box=box)
+        assert brute
+        for a in range(1, bound):
+            level = list(sl.level(a))
+            assert all(x < y for x, y in zip(level, level[1:])), (w, a)
+            assert level == [d for d in brute if inner(lat, d, w) == a], (w, a)
+            longest = max(longest, len(level))
+    assert longest >= 8
 
 
 # --- the integer-scaled ellipsoid engine ---------------------------------

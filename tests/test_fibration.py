@@ -1,9 +1,18 @@
 import random
+from itertools import islice
 
 import pytest
 
+from k3lag import enumeration, fibration
 from k3lag.enumeration import root_slice, short_vectors
-from k3lag.errors import NotIsotropic, NotPositive, WrongSide, ZeroVector
+from k3lag.errors import (
+    ImpossibleState,
+    NotIsotropic,
+    NotNegativeDefinite,
+    NotPositive,
+    WrongSide,
+    ZeroVector,
+)
 from k3lag.fibration import NefWalkResult, make_nef, reflection, syz_witness
 from k3lag.lattice import (
     direct_sum,
@@ -178,6 +187,45 @@ def test_make_nef_u_e8_pinned_walk():
         ),
         pairing_trace=(11, 9, 7, 5, 3, 2),
     )
+
+
+def test_make_nef_refuses_an_indefinite_complement_whatever_the_pairing():
+    # omega's complement in U + U has signature (1, 2); the walk used to skip
+    # the check when ell.omega = 1 left no level to scan
+    lat = direct_sum(hyperbolic_plane(), hyperbolic_plane())
+    for ell in ((1, 0, 0, 0), (2, 0, 1, 0)):
+        with pytest.raises(NotNegativeDefinite):
+            make_nef(lat, (1, 1, 0, 0), ell)
+
+
+def test_make_nef_pulls_each_level_only_to_its_first_hit(monkeypatch):
+    lat = direct_sum(hyperbolic_plane(), e8_lattice())
+    omega = (3, 2) + (0,) * 8
+    engine = enumeration._ellipsoid_points
+    yields = [0]
+
+    def counting(*args, **kwargs):
+        for x in engine(*args, **kwargs):
+            yields[0] += 1
+            yield x
+
+    monkeypatch.setattr(enumeration, "_ellipsoid_points", counting)
+    res = make_nef(lat, omega, (4, 1, 0, 0, 0, 0, 1, -1, 0, -1))
+    monkeypatch.undo()
+    # every shell point is a root: the final check yields its whole slice
+    walk = yields[0] - len(root_slice(lat, omega, res.pairing_trace[-1]))
+    top = max(inner(lat, d, omega) for d in res.reflections)
+    assert walk < len(root_slice(lat, omega, top + 1))
+
+
+def test_make_nef_final_check_catches_a_dropped_root(U_minus2, monkeypatch):
+    class Dropping(fibration._Slice):
+        def level(self, a):  # loses the first root of every level
+            return islice(super().level(a), 1, None)
+
+    monkeypatch.setattr(fibration, "_Slice", Dropping)
+    with pytest.raises(ImpossibleState):
+        make_nef(U_minus2, (3, 2, 1), (1, 1, -1))
 
 
 def test_syz_witness_fixtures(K3):
