@@ -33,6 +33,7 @@ from .lattice import (
     FormalVector,
     Lattice,
     Sublattice,
+    gram_matrix,
     gram_row,
     inner,
     norm,
@@ -321,31 +322,16 @@ def verify_certificate(
     return CertificateCheck(True)
 
 
-def _realizability_failure(host: Lattice, e: Sublattice) -> Optional[str]:
-    if e.host != host:
-        raise RankMismatch("sublattice host differs from given lattice")
-    if radical(host).rank != 0:
-        raise DegenerateLattice("ambient lattice must be nondegenerate")
-    if e.is_full():
-        return "NotProper"
-    if saturate(host, e) != e:
-        return "NotSaturated"
-    comp = orth_complement(host, e)
-    if find_positive(comp.as_lattice()) is None:
-        return "NoPositiveInComplement"
-    return None
-
-
 def realizable(host: Lattice, e: Sublattice) -> RealizabilityReport:
     """Proper + saturated + positive vector in the orthogonal complement.
 
     Exactly the sublattices passing all three checks arise as Lagrangian
-    lattices; on success the report carries the realize_witness output.
+    lattices; the report carries realize_witness's output or refusal.
     """
-    failure = _realizability_failure(host, e)
-    if failure is not None:
-        return RealizabilityReport(False, failing_condition=failure)
-    witness, bound = realize_witness(host, e)
+    try:
+        witness, bound = realize_witness(host, e)
+    except NotRealizable as exc:
+        return RealizabilityReport(False, failing_condition=exc.payload["failing_condition"])
     return RealizabilityReport(True, witness=witness, eps_bound=bound)
 
 
@@ -357,21 +343,29 @@ def realize_witness(
     x is a positive vector of E-perp, the y_i are its HNF basis, and the
     returned bound B keeps v.v > 0 for all |t_i| <= 1 and 0 < eps < B.
     The joint-kernel identity v-perp intersect host = E is verified exactly
-    before returning.
+    before returning. Raises NotRealizable naming the first failed check.
     """
-    failure = _realizability_failure(host, e)
+    if e.host != host:
+        raise RankMismatch("sublattice host differs from given lattice")
+    if radical(host).rank != 0:
+        raise DegenerateLattice("ambient lattice must be nondegenerate")
+    failure = "NotProper" if e.is_full() else (
+        "NotSaturated" if saturate(host, e) != e else None
+    )
+    if failure is None:
+        comp = orth_complement(host, e)
+        x_coords = find_positive(comp.as_lattice())
+        if x_coords is None:
+            failure = "NoPositiveInComplement"
     if failure is not None:
         raise NotRealizable(failure, failing_condition=failure)
-    comp = orth_complement(host, e)
-    x_coords = find_positive(comp.as_lattice())
     x = comp.to_host(x_coords)
     ys = comp.basis
-    x2 = Fraction(norm(host, x))
-    cross = sum(abs(inner(host, x, y)) for y in ys)
-    pairwise = sum(
-        abs(inner(host, yi, yj)) for yi in ys for yj in ys
-    )
-    bound = min(Fraction(1), x2 / (2 * cross + pairwise + 1))
+    # x.x, |x.y_i| and |y_i.y_j| from one lower-triangle Gram of x, y_1..y_k
+    g = gram_matrix(host, [x, *ys])
+    cross = sum(map(abs, g[0][1:]))
+    pairwise = sum(abs(v) for row in g[1:] for v in row[1:])
+    bound = min(Fraction(1), Fraction(g[0][0], 2 * cross + pairwise + 1))
     witness = FormalVector(
         base=tuple(Fraction(c) for c in x),
         eps=bound / 2,

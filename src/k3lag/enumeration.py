@@ -1,18 +1,19 @@
 """Complete, deterministic vector enumeration.
 
 Short vectors in definite lattices and the bounded root slices that drive
-the nef reflection walk share one Fincke-Pohst engine, _ellipsoid_points.
-It reads the integer diagonalization V P V^T = diag of the definite form
-(la.symmetric_diagonalize, the elimination behind signatures): the level
-forms F_k = (V P)_k are integer rows and the weights are 1 / diag_k, so
-only the slice centre's denominator and the lcm of q^2 diag_k are scaled
-away once per call, and the search itself runs on ints alone, with
-integer interval bounds from isqrt (no Fraction in the loop, never a
-float); root lists and slices visit only the shell P(x - c) == bound, and
-a _Slice yields each root level delta.w = a lazily in lexicographic order
-from one complement of w. Also root reports (one logged elimination per
-root list) and positive/isotropic searches. Completeness is the contract:
-enumerations return exactly the stated finite sets.
+the nef reflection walk share one Fincke-Pohst engine, _ellipsoid_points:
+one explicit-stack loop (Schnorr-Euchner) over the integer diagonalization
+V P V^T = diag of the definite form (la.symmetric_diagonalize, the
+elimination behind signatures). The level forms F_k = (V P)_k are integer
+rows and the weights 1 / diag_k, so only the centre's denominator and the
+lcm of q^2 diag_k are scaled away once per call and the loop runs on ints
+alone (isqrt bounds, no Fraction, never a float). Root lists and slices
+visit only the shell P(x - c) == bound, short vectors only one point of
+each +-pair, and a _Slice yields each root level delta.w = a lazily in
+lexicographic order from one complement of w. Also root reports (one
+logged elimination per root list) and positive/isotropic searches.
+Completeness is the contract: enumerations return exactly the stated
+finite sets.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ class RootReport:
 
 
 def _ellipsoid_points(
-    pd, dec, center: Tuple[Fraction, ...], bound: Fraction, shell: bool = False
+    pd, dec, center: Tuple[Fraction, ...], bound: Fraction, shell=False, half=False
 ) -> Iterator:
     """Integer points x with P(x - center) <= bound, with the exact value.
 
@@ -75,58 +76,83 @@ def _ellipsoid_points(
     centre, L_k = F_k(q x - q c) is an integer and P(x - c) = sum_k e_k L_k^2
     / D for D = lcm(denominator of bound, q^2 diag_k) and integer weights
     e_k = D / (q^2 diag_k). The search then runs on ints alone: level k
-    admits |L_k| <= isqrt(rest // e_k). Levels go n-1 down to 0 and values
-    ascend within a level, so the order is deterministic.
+    admits |L_k| <= isqrt(rest // e_k). One loop keeps per-level state in
+    place of recursion; levels go n-1 down to 0 and values ascend within a
+    level, so the order is deterministic.
 
     With shell, only the x with P(x - c) == bound, as bare tuples in the
     same order: level 0 takes the whole rest, L_0 = +-isqrt(rest // e_0)
     when that is exact, and no value is formed or compared.
+
+    With half (centre 0 only), one point of each +-pair: v >= 0 while every
+    outer level is 0, and v > 0 on level 0, so the last nonzero coordinate
+    is positive and the origin is never yielded.
     """
     diag, basis = dec
     if any(d <= 0 for d in diag):
         raise NotNegativeDefinite("form is not definite")
+    if half and any(center):
+        raise ValueError("half needs centre 0")
     n = len(diag)
     bound = Fraction(bound)
     if bound < 0:
         return
     if n == 0:
-        if bound == 0 or not shell:
+        if not half and (bound == 0 or not shell):
             yield () if shell else ((), Fraction(0))
         return
     q = lcm(*(c.denominator for c in center))
     cq = [int(c * q) for c in center]  # q * centre
     forms = la.matmul(basis, pd)
     terms = [[(j, f) for j, f in enumerate(forms[k]) if j > k and f] for k in range(n)]
-    step = [q * forms[k][k] for k in range(n)]  # L_k = step_k x_k + (levels > k)
+    step = [q * forms[k][k] for k in range(n)]  # L_k = step_k x_k + off_k
+    base = [-forms[k][k] * cq[k] for k in range(n)]
     scale = lcm(bound.denominator, *(q * q * d for d in diag))
     e = [scale // (q * q * d) for d in diag]
     total = int(bound * scale)
+    e0, s0 = e[0], step[0]
 
-    x = [0] * n
-    y = [0] * n  # q * (x_j - c_j) on the levels already fixed
-
-    def rec(k: int, rest: int) -> Iterator:
-        c = -forms[k][k] * cq[k]
+    # per level: x, y = q (x - c), the offset L_k - step_k x_k, the upper value
+    # of x, the budget left; with half, the levels >= flat have every outer x 0
+    x, y, off, hi, rest = ([0] * n for _ in range(5))
+    rest[n - 1], k, flat = total, n - 1, n - 1 if half else n
+    while True:
+        c = base[k]
         for j, m in terms[k]:
             c += m * y[j]
-        r = isqrt(rest // e[k])
-        if shell and not k:
+        left = rest[k]
+        r = isqrt(left // e[k])
+        if k:
+            off[k], hi[k] = c, (r - c) // step[k]
+            x[k] = (0 if flat <= k else -((r + c) // step[k])) - 1
+        elif shell:
             # e_0 t^2 must take the whole rest: t = -r or r (once if 0)
-            for t in range(-r, r + 1, 2 * r or 1) if e[0] * r * r == rest else ():
-                if (t - c) % step[0] == 0:
-                    x[0] = (t - c) // step[0]
-                    yield tuple(x)
+            if e0 * r * r == left:
+                lo = (r or 1) if flat == 0 else -r  # half: only t > 0, never the origin
+                for t in range(lo, r + 1, 2 * r or 1):
+                    if (t - c) % s0 == 0:
+                        x[0] = (t - c) // s0
+                        yield tuple(x)
+            k = 1
+        else:
+            done = total - left
+            for v in range(1 if flat == 0 else -((r + c) // s0), (r - c) // s0 + 1):
+                x[0] = v
+                t = s0 * v + c
+                yield tuple(x), Fraction(done + e0 * t * t, scale)
+            k = 1
+        # the next value: back up past exhausted levels, then step down one
+        while k < n and x[k] >= hi[k]:
+            k += 1
+        if k == n:
             return
-        for v in range(-((r + c) // step[k]), (r - c) // step[k] + 1):
-            x[k] = v
-            t = step[k] * v + c
-            if k:
-                y[k] = q * v - cq[k]
-                yield from rec(k - 1, rest - e[k] * t * t)
-            else:
-                yield tuple(x), Fraction(total - rest + e[0] * t * t, scale)
-
-    yield from rec(n - 1, total)
+        v = x[k] = x[k] + 1
+        y[k] = q * v - cq[k]
+        t = step[k] * v + off[k]
+        rest[k - 1] = rest[k] - e[k] * t * t
+        if flat <= k:
+            flat = k if v else k - 1
+        k -= 1
 
 
 def _require_negative_definite(lat: Lattice) -> None:
@@ -141,18 +167,18 @@ def short_vectors(lat: Lattice, bound: int, exact: bool = False) -> List[IntVec]
     """All x with 0 < -x.x <= bound, one per +-pair, lexicographic.
 
     Complete: misses nothing within the bound. With exact, only the x with
-    -x.x == bound, from the shell enumeration.
+    -x.x == bound, from the shell enumeration. The engine runs with half on
+    the reversed form (outermost level: coordinate 0), so the points come
+    out lexicographic, first nonzero coordinate positive, with no sort.
     """
     _require_negative_definite(lat)
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    pd = tuple(tuple(-g for g in row) for row in lat.gram)
+    pd = tuple(tuple(-g for g in row[::-1]) for row in lat.gram[::-1])
     zero = tuple(Fraction(0) for _ in range(lat.rank))
     dec = la.symmetric_diagonalize(pd)
-    points = _ellipsoid_points(pd, dec, zero, Fraction(bound), shell=exact)
-    if not exact:
-        points = (x for x, q in points if q)
-    return sorted(x for x in points if sign_normalized(x) == x)
+    points = _ellipsoid_points(pd, dec, zero, Fraction(bound), shell=exact, half=True)
+    return [x[::-1] for x in points] if exact else [x[::-1] for x, _ in points]
 
 
 def roots_generate(lat: Lattice) -> RootReport:

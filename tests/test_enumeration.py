@@ -400,3 +400,64 @@ def test_ellipsoid_points_empty_and_zero_rank():
     assert list(_ellipsoid_points(pd, dec, (half, Fraction(0)), Fraction(-1))) == []
     assert list(_ellipsoid_points(pd, dec, (half, third), Fraction(0))) == []
     assert list(_ellipsoid_points((), ((), ()), (), Fraction(3))) == [((), 0)]
+
+
+def _half_cases():
+    """(pd, dec, zero centre, bound) over the seeded forms, half of them attained."""
+    rng = random.Random(911)
+    cases = []
+    for pd in _ellipsoid_cases()[0]:
+        dec = la.symmetric_diagonalize(pd)
+        zero = tuple(Fraction(0) for _ in pd)
+        for _ in range(3):
+            p = [rng.randint(-2, 2) for _ in pd]
+            other = Fraction(rng.randint(1, 12), rng.choice((1, 2, 3)))
+            cases += [(pd, dec, zero, Fraction(_form_value(pd, p))), (pd, dec, zero, other)]
+    return cases
+
+
+def _last_nonzero(x):
+    return next((c for c in reversed(x) if c), 0)
+
+
+def test_ellipsoid_half_against_box_scan():
+    # half: the box scan cut to the points whose last nonzero coordinate (the
+    # engine's outermost level) is positive, in the same order; the shell too
+    nonempty = 0
+    for pd, dec, zero, bound in _half_cases():
+        want = [(x, q) for x, q in brute_ellipsoid(pd, zero, bound) if _last_nonzero(x) > 0]
+        assert list(_ellipsoid_points(pd, dec, zero, bound, half=True)) == want
+        shell = list(_ellipsoid_points(pd, dec, zero, bound, shell=True, half=True))
+        assert shell == [x for x, q in want if q == bound], (pd, bound)
+        nonempty += bool(shell)
+    assert nonempty >= len(_ellipsoid_cases()[0])
+
+
+def test_ellipsoid_half_is_half_of_the_full_list():
+    for pd, dec, zero, bound in _half_cases():
+        origin = tuple(0 for _ in pd)
+        for shell in (False, True):
+            full = list(_ellipsoid_points(pd, dec, zero, bound, shell=shell))
+            got = list(_ellipsoid_points(pd, dec, zero, bound, shell=shell, half=True))
+            if not shell:
+                full, got = [x for x, _ in full], [x for x, _ in got]
+            both = got + [tuple(-c for c in x) for x in got]
+            assert sorted(both) == sorted(x for x in full if x != origin)
+            assert len(set(both)) == len(both)
+
+
+def test_ellipsoid_half_rank_zero_and_one():
+    for shell in (False, True):
+        for bound in (Fraction(0), Fraction(3)):
+            assert list(_ellipsoid_points((), ((), ()), (), bound, shell=shell, half=True)) == []
+    pd = ((2,),)
+    dec = la.symmetric_diagonalize(pd)
+    zero = (Fraction(0),)
+    assert list(_ellipsoid_points(pd, dec, zero, Fraction(8), half=True)) == [
+        ((1,), 2), ((2,), 8)
+    ]
+    assert list(_ellipsoid_points(pd, dec, zero, Fraction(1), half=True)) == []
+    assert list(_ellipsoid_points(pd, dec, zero, Fraction(8), shell=True, half=True)) == [(2,)]
+    assert list(_ellipsoid_points(pd, dec, zero, Fraction(0), shell=True, half=True)) == []
+    with pytest.raises(ValueError):
+        list(_ellipsoid_points(pd, dec, (Fraction(1, 2),), Fraction(8), half=True))
