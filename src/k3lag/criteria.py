@@ -33,7 +33,6 @@ from .lattice import (
     FormalVector,
     Lattice,
     Sublattice,
-    gram_matrix,
     gram_row,
     inner,
     norm,
@@ -361,11 +360,12 @@ def realize_witness(
         raise NotRealizable(failure, failing_condition=failure)
     x = comp.to_host(x_coords)
     ys = comp.basis
-    # x.x, |x.y_i| and |y_i.y_j| from one lower-triangle Gram of x, y_1..y_k
-    g = gram_matrix(host, [x, *ys])
-    cross = sum(map(abs, g[0][1:]))
-    pairwise = sum(abs(v) for row in g[1:] for v in row[1:])
-    bound = min(Fraction(1), Fraction(g[0][0], 2 * cross + pairwise + 1))
+    # one Gram row each of x, y_1..y_k: x.x, |x.y_i|, |y_i.y_j| and the kernel
+    rows = [gram_row(host, v) for v in (x, *ys)]
+    cross = sum(abs(la.dot(rows[0], y)) for y in ys)
+    lower = [[abs(la.dot(r, y)) for y in ys[: i + 1]] for i, r in enumerate(rows[1:])]
+    pairwise = sum(2 * sum(row) - row[-1] for row in lower)  # the full k x k sum
+    bound = min(Fraction(1), Fraction(la.dot(rows[0], x), 2 * cross + pairwise + 1))
     witness = FormalVector(
         base=tuple(Fraction(c) for c in x),
         eps=bound / 2,
@@ -374,7 +374,6 @@ def realize_witness(
         ),
     )
     # exact identity: the joint kernel of x and the y_i cuts out E again
-    rows = [gram_row(host, x)] + [gram_row(host, y) for y in ys]
     joint = la.int_kernel(rows, host.rank)
     if joint != e.basis:
         raise ImpossibleState("joint kernel differs from the input sublattice")

@@ -14,6 +14,7 @@ from typing import Callable, List, Tuple
 
 from . import intlinalg as la
 from .errors import (
+    DegenerateLattice,
     ImpossibleState,
     NegativeNorm,
     NotIsotropic,
@@ -83,12 +84,12 @@ def require_two_hyperbolic_blocks(lat: Lattice) -> None:
             same_block = (j < 2) == (i < 2) and j < 4
             if not same_block and g[i][j] != 0:
                 raise UnsupportedLattice("U blocks are not split off orthogonally")
-    rest = tuple(tuple(g[i][j] for j in range(4, n)) for i in range(4, n))
-    if rest:
-        if any(rest[i][i] % 2 for i in range(len(rest))):
-            raise UnsupportedLattice("orthogonal rest is not even")
-        if abs(la.det(rest)) != 1:
-            raise UnsupportedLattice("orthogonal rest is not unimodular")
+    if any(g[i][i] % 2 for i in range(4, n)):
+        raise UnsupportedLattice("orthogonal rest is not even")
+    try:  # U + U splits off orthogonally, so |det rest| = |det lat|: cached
+        _gram_inverse(lat)
+    except DegenerateLattice:
+        raise UnsupportedLattice("orthogonal rest is not unimodular") from None
 
 
 class _Walker:

@@ -9,9 +9,10 @@ rows and the weights 1 / diag_k, so only the centre's denominator and the
 lcm of q^2 diag_k are scaled away once per call and the loop runs on ints
 alone (isqrt bounds, no Fraction, never a float). Root lists and slices
 visit only the shell P(x - c) == bound, short vectors only one point of
-each +-pair, and a _Slice yields each root level delta.w = a lazily in
-lexicographic order from one complement of w. Also root reports (one
-logged elimination per root list) and positive/isotropic searches.
+each +-pair, and a _Slice yields each root level delta.w = a lazily, in
+lexicographic order, as coordinates over one complement of w with integer
+centres. Also root reports (one logged elimination per root list) and
+positive/isotropic searches.
 Completeness is the contract: enumerations return exactly the stated
 finite sets.
 """
@@ -21,12 +22,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
-from operator import mul
 from typing import Iterator, List, Optional, Tuple
 
 from . import intlinalg as la
 from .errors import ImpossibleState, NotNegativeDefinite, NotPositive
-from .exact import content, primitivize, rational_direction, sign_normalized
+from .exact import primitivize, rational_direction, sign_normalized
 from .lattice import (
     Lattice,
     Sublattice,
@@ -255,43 +255,59 @@ def find_isotropic(lat: Lattice, height: int = 10):
 
 
 class _Slice:
-    """The root levels delta.w = a of one (lattice, w), from one complement.
+    """The root levels delta.w = a of one (lattice, w), in complement coordinates.
 
     It holds the complement M of w with its HNF rows reversed, the negated
-    Gram P of that basis, its diagonalization, P^-1 for the centre solve,
-    one solution of x.w = d (d the content of w's pairing row) and, per
-    host column, the nonzero entries of M. Level a is one shell:
-    delta = x_a + c M (x_a.w = a) has square -2 iff P(c - u) = x_a.x_a + 2
-    + t.u, t = (x_a.M_i), u = P^-1 t. HNF pivots are positive and echelon,
-    so host order is lexicographic order of c over the HNF rows; reversed,
-    c_0 is the engine's outermost level and each level comes out sorted.
+    Gram P of that basis, its diagonalization, one solution s of x.w = d
+    (d the content of w's pairing row) and, per host column, the nonzero
+    entries of M. Level a = k d is one shell: delta = x_a + c M, x_a = k s,
+    has square -2 iff P(c - u) = x_a.x_a + 2 + t.u, t = (x_a.M_i) = k t_s,
+    u = P^-1 t; P^-1 is cleared once to an integer den P^-1, so each level's
+    centre and value are integers over den. coords(a) yields the c in order
+    and host(x_a, c) builds one root, so a caller testing delta.y = x_a.y +
+    c.(M y) builds only the roots it keeps. HNF pivots are positive and
+    echelon, so host order is lexicographic order of c over the HNF rows;
+    reversed, c_0 is the engine's outermost level and levels come out sorted.
     """
 
     def __init__(self, lat: Lattice, w: IntVec):
         comp = orth_complement(lat, [w])
         comp_lat = comp.as_lattice()
         _require_negative_definite(comp_lat)
-        self.lat, self.rows = lat, comp.basis[::-1]
+        self.rows = rows = comp.basis[::-1]
         self.pd = tuple(tuple(-g for g in row[::-1]) for row in comp_lat.gram[::-1])
         self.dec = la.symmetric_diagonalize(self.pd)
-        self.pinv = la.frac_inverse(self.pd) if self.rows else ()
+        pinv = la.frac_inverse(self.pd) if rows else ()
+        self.den = den = lcm(*(x.denominator for row in pinv for x in row))
+        adj = [[x.numerator * (den // x.denominator) for x in row] for row in pinv]
         gw = gram_row(lat, w)
-        self.d = content(gw)  # d >= 1: w.w > 0 forces a nonzero pairing row
-        self.sol = _pairing_solution(gw, self.d)
-        rows = self.rows
+        self.d, self.sol = la.gcd_combination(gw)  # d >= 1: w.w > 0, so gw != 0
+        gs = gram_row(lat, self.sol)
+        ts = la.matvec(rows, gs)
+        self.us = la.matvec(adj, ts)  # den u and den (x_a.x_a + t.u) at level d
+        self.r1 = la.dot(gs, self.sol) * den + la.dot(ts, self.us)
         self.cols = [[(i, r[j]) for i, r in enumerate(rows) if r[j]] for j in range(len(w))]
+
+    def anchor(self, a: int) -> IntVec:
+        """x_a = (a / d) s, the host point of level a's coordinates."""
+        return tuple((a // self.d) * c for c in self.sol)
+
+    def coords(self, a: int) -> Iterator[IntVec]:
+        """The c of the roots x_a + c M with delta.w = a, lazily, in order."""
+        if a % self.d == 0:
+            k, den = a // self.d, self.den
+            u = tuple(Fraction(k * v, den) for v in self.us)
+            r = Fraction(k * k * self.r1 + 2 * den, den)
+            yield from _ellipsoid_points(self.pd, self.dec, u, r, shell=True)
+
+    def host(self, xa: IntVec, c: IntVec) -> IntVec:
+        """The root x_a + c M in host coordinates."""
+        return tuple(x + sum(c[i] * m for i, m in col) for x, col in zip(xa, self.cols))
 
     def level(self, a: int) -> Iterator[IntVec]:
         """The roots with delta.w = a, lazily, in lexicographic order."""
-        if a % self.d:
-            return
-        xa = tuple((a // self.d) * c for c in self.sol)
-        gx = gram_row(self.lat, xa)
-        t = la.matvec(self.rows, gx)
-        u = la.matvec(self.pinv, t)
-        r = Fraction(la.dot(gx, xa) + 2) + sum(map(mul, t, u))
-        for c in _ellipsoid_points(self.pd, self.dec, u, r, shell=True):
-            yield tuple(x + sum(c[i] * m for i, m in col) for x, col in zip(xa, self.cols))
+        xa = self.anchor(a)
+        return (self.host(xa, c) for c in self.coords(a))
 
 
 def root_slice(lat: Lattice, w, bound: int, lower: int = 0) -> List[IntVec]:
@@ -313,11 +329,3 @@ def root_slice(lat: Lattice, w, bound: int, lower: int = 0) -> List[IntVec]:
         raise ValueError("lower must be a non-negative integer")
     sl = _Slice(lat, wv)  # its levels off the multiples of d are empty
     return sorted(x for a in range(lower + 1, bound) for x in sl.level(a))
-
-
-def _pairing_solution(gw, target: int) -> IntVec:
-    """Integer x with x . gw = target, where target = gcd(gw)."""
-    g, coeffs = la.gcd_combination(gw)
-    if g != target:
-        raise ValueError("pairing content mismatch")
-    return coeffs

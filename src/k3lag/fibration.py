@@ -20,7 +20,7 @@ from .errors import (
     ZeroVector,
 )
 from .exact import rational_direction
-from .intlinalg import dot
+from .intlinalg import dot, matvec
 from .lattice import Isometry, Lattice, gram_row, inner, norm
 
 IntVec = Tuple[int, ...]
@@ -76,12 +76,14 @@ def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
     pairing row, since no root pairs with omega outside those multiples.
     One _Slice, built once per walk (so an omega whose complement is not
     negative definite is refused whatever ell is), yields each level lazily
-    in lexicographic order, and the step stops at the first root with
-    delta.ell < 0: the tie-break is minimal delta.omega, then lexicographic
-    order. Later steps reuse the roots seen and resume the rest. Each step
-    preserves ell.ell = 0 and strictly decreases ell.omega, so the walk
-    terminates; a root of the final root_slice pairing negatively with the
-    result raises ImpossibleState.
+    in lexicographic order as complement coordinates c of x_a + c M, tested
+    as delta.ell = x_a.ell + c.(M ell); only the root reflected in is built
+    in the host. The step stops at the first root with delta.ell < 0: the
+    tie-break is minimal delta.omega, then lexicographic order. Later steps
+    reuse the coordinates seen and resume the rest. Each step preserves
+    ell.ell = 0 and strictly decreases ell.omega, so the walk terminates; a
+    root of the final root_slice pairing negatively with the result raises
+    ImpossibleState.
     """
     ov = tuple(int(c) for c in omega)
     lv = tuple(int(c) for c in ell)
@@ -97,20 +99,23 @@ def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
     trace = [pairing]
     used = []
     cur = lv
-    levels = {}  # a -> (roots seen, in order, and the rest of the level)
+    levels = {}  # a -> (x_a, the c seen, in order, and the rest of the level)
     while True:
         delta = None
-        row = gram_row(lat, cur)  # cur's pairings, dotted with each root
+        row = gram_row(lat, cur)  # cur's pairings: delta.cur = row.x_a + c.tm
+        tm = matvec(sl.rows, row)
         for a in range(sl.d, trace[-1], sl.d):
-            seen, rest = levels.setdefault(a, ([], sl.level(a)))
-            delta = next((d for d in seen if dot(row, d) < 0), None)
-            if delta is None:
-                for d in rest:  # extend the level only up to its first hit
-                    seen.append(d)
-                    if dot(row, d) < 0:
-                        delta = d
+            xa, seen, rest = levels.setdefault(a, (sl.anchor(a), [], sl.coords(a)))
+            top = -dot(row, xa)
+            hit = next((c for c in seen if dot(tm, c) < top), None)
+            if hit is None:
+                for c in rest:  # extend the level only up to its first hit
+                    seen.append(c)
+                    if dot(tm, c) < top:
+                        hit = c
                         break
-            if delta is not None:
+            if hit is not None:
+                delta = sl.host(xa, hit)
                 break
         if delta is None:
             break

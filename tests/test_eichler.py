@@ -69,6 +69,13 @@ def test_block_shape_check(U, K3):
         require_two_hyperbolic_blocks(U)
     with pytest.raises(UnsupportedLattice):
         require_two_hyperbolic_blocks(direct_sum(U, from_diagonal([-2, -2])))
+    # the rest behind U + U: odd, then even but not unimodular (det -2, det 0)
+    with pytest.raises(UnsupportedLattice, match="not even"):
+        require_two_hyperbolic_blocks(direct_sum(U, U, from_diagonal([-1])))
+    for diag in ([-2], [0], [-2, -2]):
+        with pytest.raises(UnsupportedLattice, match="not unimodular"):
+            require_two_hyperbolic_blocks(direct_sum(U, U, from_diagonal(diag)))
+    require_two_hyperbolic_blocks(direct_sum(U, U))
 
 
 def test_canonical_form_trivial_cases(K3):

@@ -22,6 +22,7 @@ from k3lag.lattice import (
     Lattice,
     Sublattice,
     direct_sum,
+    e8_lattice,
     from_diagonal,
     hyperbolic_plane,
     inner,
@@ -329,6 +330,41 @@ def test_slice_levels_are_sorted_and_match_brute():
             assert level == [d for d in brute if inner(lat, d, w) == a], (w, a)
             longest = max(longest, len(level))
     assert longest >= 8
+
+
+def test_slice_coords_build_its_levels():
+    # host(x_a, c) over coords(a) is level(a), in order and value, and the
+    # complement pairing delta.y = x_a.y + c.(M y) holds for every root
+    u_e8 = direct_sum(hyperbolic_plane(), e8_lattice())
+    u_m2 = direct_sum(hyperbolic_plane(), from_diagonal([-2]))
+    cases = [
+        (u_e8, (3, 1) + (0,) * 8, 4),
+        (u_e8, (2, 2) + (0,) * 8, 5),  # content 2: odd levels are empty
+        (u_m2, (3, 2, 1), 7),
+        (u_m2, (2, 2, 0), 9),
+    ]
+    rng = random.Random(37)
+    empty = found = 0
+    for lat, w, bound in cases:
+        sl = _Slice(lat, w)
+        y = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
+        gy = la.vecmat(y, lat.gram)
+        my = la.matvec(sl.rows, gy)
+        for a in range(1, bound):
+            xa = sl.anchor(a)
+            coords = list(sl.coords(a))
+            level = list(sl.level(a))
+            assert [sl.host(xa, c) for c in coords] == level, (w, a)
+            assert level == root_slice(lat, w, a + 1, a - 1), (w, a)
+            if a % sl.d:
+                assert not coords, (w, a)
+                empty += 1
+                continue
+            assert inner(lat, xa, w) == a
+            found += len(level)
+            for c, d in zip(coords, level):
+                assert la.dot(gy, d) == la.dot(gy, xa) + la.dot(my, c), (w, a, c)
+    assert empty == 6 and found > 3000
 
 
 # --- the integer-scaled ellipsoid engine ---------------------------------

@@ -218,10 +218,37 @@ def test_make_nef_pulls_each_level_only_to_its_first_hit(monkeypatch):
     assert walk < len(root_slice(lat, omega, top + 1))
 
 
+def test_make_nef_builds_a_host_root_only_for_each_reflection(monkeypatch):
+    # the walk tests roots in omega's complement coordinates; only the root
+    # it reflects in becomes a host vector
+    hosts = [0]
+
+    class Counting(fibration._Slice):
+        def host(self, xa, c):
+            hosts[0] += 1
+            return super().host(xa, c)
+
+    monkeypatch.setattr(fibration, "_Slice", Counting)
+    lat = direct_sum(hyperbolic_plane(), e8_lattice())
+    walks = [((3, 2) + (0,) * 8, (4, 1, 0, 0, 0, 0, 1, -1, 0, -1))]
+    e8 = e8_lattice()
+    rng = random.Random(31)
+    for k, omega in ((1, (3, 1)), (2, (3, 1)), (2, (2, 2))):
+        rs = [r for r in short_vectors(e8, 4) if norm(e8, r) == -2 * k]
+        walks += [(omega + (0,) * 8, (k, 1) + r) for r in rng.sample(rs, 2)]
+    reflected = 0
+    for omega, ell in walks:
+        hosts[0] = 0
+        res = make_nef(lat, omega, ell)
+        assert hosts[0] == len(res.reflections), (omega, ell)
+        reflected += len(res.reflections)
+    assert reflected >= len(walks)
+
+
 def test_make_nef_final_check_catches_a_dropped_root(U_minus2, monkeypatch):
     class Dropping(fibration._Slice):
-        def level(self, a):  # loses the first root of every level
-            return islice(super().level(a), 1, None)
+        def coords(self, a):  # loses the first root of every level the walk reads
+            return islice(super().coords(a), 1, None)
 
     monkeypatch.setattr(fibration, "_Slice", Dropping)
     with pytest.raises(ImpossibleState):
