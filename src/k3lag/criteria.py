@@ -61,8 +61,12 @@ class ClassifyReport:
     rad: Optional[Sublattice] = None
     n_part: Optional[Lattice] = None
     n_basis: Optional[la.IntMatrix] = None
-    roots_generate: Optional[bool] = None
     root_report: Optional[RootReport] = None
+
+    @property
+    def roots_generate(self) -> Optional[bool]:
+        """Whether N's roots generate N: equal in the Split case, else None."""
+        return self.equal if self.case == "Split" else None
 
 
 @dataclass(frozen=True)
@@ -130,8 +134,8 @@ def decompose_positive(
     determinizes the choice of a sufficiently large multiple.
     """
     host = sub.host
-    gv = tuple(int(c) for c in gamma)
-    xv = tuple(int(c) for c in x)
+    gv = la.int_vector(gamma)
+    xv = la.int_vector(x)
     x2 = norm(host, xv)
     if x2 <= 0:
         raise NotPositive(f"x.x = {x2} must be positive")
@@ -157,8 +161,8 @@ def positive_from_isotropic(
     m has minimal absolute value with the sign forced by delta.alpha.
     """
     host = sub.host
-    dv = tuple(int(c) for c in delta)
-    av = tuple(int(c) for c in alpha)
+    dv = la.int_vector(delta)
+    av = la.int_vector(alpha)
     if norm(host, dv) != 0:
         raise NotIsotropic(f"delta.delta = {norm(host, dv)} must be 0")
     da = inner(host, dv, av)
@@ -230,7 +234,6 @@ def classify(lat: Lattice) -> ClassifyReport:
         rad=rad,
         n_part=n_lat,
         n_basis=n_rows,
-        roots_generate=report.generates,
         root_report=report,
     )
 
@@ -244,7 +247,10 @@ def certificate_for(host: Lattice, omega, gamma) -> SlagCertificate:
     root list of the negative definite part.
     """
     sub = lag_lattice(host, omega)
-    gv = tuple(int(c) for c in gamma)
+    try:
+        gv = la.int_vector(gamma)
+    except ValueError:
+        raise NotMember("gamma is not an integer vector") from None
     if not sub.contains(gv):
         raise NotLagrangian("gamma.omega != 0")
     if not any(gv):
@@ -302,11 +308,16 @@ def verify_certificate(
 ) -> CertificateCheck:
     """Re-check a certificate from scratch: membership, squares, and sum."""
     host = sub.host
-    gv = tuple(int(c) for c in gamma)
+    try:
+        gv = la.int_vector(gamma)
+    except ValueError:
+        return CertificateCheck(False, "gamma is not an integer vector")
     total = tuple(0 for _ in range(host.rank))
     for idx, (coeff, cls) in enumerate(cert.terms):
         if coeff == 0:
             return CertificateCheck(False, f"zero coefficient at index {idx}")
+        if coeff != int(coeff):
+            return CertificateCheck(False, f"non-integral coefficient at index {idx}")
         if len(cls) != host.rank:
             return CertificateCheck(False, f"rank mismatch at index {idx}")
         if not sub.contains(cls):

@@ -42,8 +42,8 @@ class CanonicalFormResult:
 
 def transvection(lat: Lattice, u, a) -> Isometry:
     """The Eichler map x -> x + (x.a)u - (x.u)a - (a.a/2)(x.u)u."""
-    uv = tuple(int(c) for c in u)
-    av = tuple(int(c) for c in a)
+    uv = la.int_vector(u)
+    av = la.int_vector(a)
     if norm(lat, uv) != 0:
         raise NotIsotropic(f"u.u = {norm(lat, uv)} must be 0")
     if inner(lat, uv, av) != 0:
@@ -187,7 +187,7 @@ def canonical_target(n: int, d: int) -> IntVec:
 def canonical_form(lat: Lattice, w) -> CanonicalFormResult:
     """Carry a primitive w with w.w >= 0 onto e1 + (w.w/2) f1."""
     require_two_hyperbolic_blocks(lat)
-    wv = tuple(int(c) for c in w)
+    wv = la.int_vector(w)
     if len(wv) != lat.rank:
         raise NotPrimitive("vector length differs from lattice rank")
     if not any(wv) or not is_primitive(wv):
@@ -329,5 +329,5 @@ def witness_failures(lat: Lattice, w, v, ell) -> List[str]:
 
 def orth_witnesses(lat: Lattice, w) -> Tuple[IntVec, IntVec]:
     """(v, ell) with v.v = 2, ell.ell = 0, ell nonzero primitive, both _|_ w."""
-    v, ell, _ = _block_witnesses(lat, tuple(int(c) for c in w))
+    v, ell, _ = _block_witnesses(lat, la.int_vector(w))
     return v, ell

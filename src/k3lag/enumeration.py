@@ -319,7 +319,7 @@ def root_slice(lat: Lattice, w, bound: int, lower: int = 0) -> List[IntVec]:
     it, so root_slice(lat, w, a + 1, a - 1) is the single level delta.w = a.
     The levels come from one _Slice, each already sorted.
     """
-    wv = tuple(int(c) for c in w)
+    wv = la.int_vector(w)
     w2 = norm(lat, wv)  # raises RankMismatch for a w of the wrong length
     if w2 <= 0:
         raise NotPositive(f"w.w = {w2} must be positive")

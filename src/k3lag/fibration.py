@@ -20,7 +20,7 @@ from .errors import (
     ZeroVector,
 )
 from .exact import rational_direction
-from .intlinalg import dot, matvec
+from .intlinalg import dot, int_vector, matvec
 from .lattice import Isometry, Lattice, gram_row, inner, norm
 
 IntVec = Tuple[int, ...]
@@ -54,7 +54,7 @@ class SyzReport:
 
 def reflection(lat: Lattice, delta) -> Isometry:
     """s_delta(x) = x + (x.delta) delta for a norm -2 root; an involution."""
-    dv = tuple(int(c) for c in delta)
+    dv = int_vector(delta)
     if norm(lat, dv) != -2:
         raise ValueError(f"delta.delta = {norm(lat, dv)} must be -2")
     gd = gram_row(lat, dv)
@@ -85,8 +85,8 @@ def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
     root of the final root_slice pairing negatively with the result raises
     ImpossibleState.
     """
-    ov = tuple(int(c) for c in omega)
-    lv = tuple(int(c) for c in ell)
+    ov = int_vector(omega)
+    lv = int_vector(ell)
     w2 = norm(lat, ov)
     if w2 <= 0:
         raise NotPositive(f"omega^2 = {w2} must be positive")

@@ -11,21 +11,45 @@ behind signatures and Fincke-Pohst, the Gauss-Jordan inverse). Only
 kernels build the echelon's whole transform; a solve replays its logged
 row operations on one vector, so a logged elimination serves every later
 solve over the same rows. Fraction is left only at the edge:
-frac_inverse's returned entries and integral_row.
+frac_inverse's returned entries and integral_row. Integer arguments are
+checked, never truncated: int_vector and freeze accept integral values
+only. A Gram row of a mostly-zero integer vector (vecmat) sums only the
+rows of its nonzero entries; any other vector takes the column sums.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd
-from operator import mul
+from operator import add, index, mul
 from typing import List, Optional, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 IntVector = Tuple[int, ...]
 
 
+def as_int(x) -> int:
+    """x as an int if its value is integral (2.0, Fraction(4, 2)); else ValueError."""
+    try:
+        return index(x)
+    except TypeError:
+        n = int(x)
+        if n != x:
+            raise ValueError(f"non-integral entry {x!r}") from None
+        return n
+
+
+def int_vector(v: Sequence) -> IntVector:
+    """The entries of v as ints, checked by as_int."""
+    v = tuple(v)  # read once, so the checked pass can start again
+    try:
+        return tuple(map(index, v))
+    except TypeError:
+        return tuple(map(as_int, v))
+
+
 def freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
-    return tuple(tuple(int(x) for x in row) for row in rows)
+    return tuple(map(int_vector, rows))
 
 
 def identity(n: int) -> IntMatrix:
@@ -52,11 +76,25 @@ def matvec(m: Sequence[Sequence], v: Sequence) -> tuple:
 
 
 def vecmat(v: Sequence, m: Sequence[Sequence]) -> tuple:
+    """v·m for an integer matrix m, exact in value and type.
+
+    An all-int v with at least half its entries zero sums the rows of m at
+    its nonzero entries, so the zero rows are never read; Gram rows of
+    sparse lattice vectors take this path. Any other v (dense, or holding a
+    Fraction) takes the column sums, so its entries keep the types of
+    sum(v[i] * m[i][j]): a Fraction v gives Fraction entries even where
+    they are zero.
+    """
     if len(v) != len(m):
         raise ValueError("vecmat shape mismatch")
     if not m:
         return ()
-    return tuple(sum(map(mul, v, col)) for col in zip(*m))
+    if 2 * v.count(0) < len(v) or type(sum(v)) is not int:
+        return tuple(sum(map(mul, v, col)) for col in zip(*m))
+    out = repeat(0, len(m[0]))
+    for x, row in zip(filter(None, v), compress(m, v)):
+        out = map(add, out, map(mul, repeat(x), row))
+    return tuple(out)
 
 
 def dot(u: Sequence, v: Sequence):

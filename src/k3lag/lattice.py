@@ -76,7 +76,7 @@ class FormalVector:
     def __post_init__(self):
         base = tuple(Fraction(c) for c in self.base)
         terms = tuple(
-            (int(i), tuple(Fraction(c) for c in v)) for i, v in self.terms
+            (la.as_int(i), tuple(Fraction(c) for c in v)) for i, v in self.terms
         )
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "eps", Fraction(self.eps))
@@ -120,7 +120,7 @@ def inner(lat: Lattice, x, y):
     if not fx and not fy:
         xv = _coerce_vector(x, lat.rank)
         yv = _coerce_vector(y, lat.rank)
-        val = la.dot(gram_row(lat, xv), yv)
+        val = la.dot(la.vecmat(xv, lat.gram), yv)
         return val if isinstance(val, int) else Fraction(val)
     if fx and not fy:
         return _inner_formal_plain(lat, x, y)
@@ -190,7 +190,7 @@ class Sublattice:
     def from_generators(
         cls, host: Lattice, rows: Iterable[VectorLike]
     ) -> "Sublattice":
-        mat = [tuple(int(c) for c in r) for r in rows]
+        mat = [la.int_vector(r) for r in rows]
         for r in mat:
             if len(r) != host.rank:
                 raise RankMismatch("generator length differs from host rank")
@@ -212,8 +212,15 @@ class Sublattice:
         return self.basis == la.identity(self.host.rank)
 
     def coords_of(self, v: VectorLike):
-        """Coordinates of v over the HNF basis, or None if v is outside."""
-        vec = tuple(int(c) for c in _coerce_vector(v, self.host.rank))
+        """Coordinates of v over the HNF basis, or None if v is outside.
+
+        A vector with a non-integral entry is outside every sublattice.
+        """
+        v = _coerce_vector(v, self.host.rank)
+        try:
+            vec = la.int_vector(v)
+        except ValueError:
+            return None
         return la.solve_left(self.basis, vec, self.host.rank)
 
     def contains(self, v: VectorLike) -> bool:
@@ -227,7 +234,7 @@ class Sublattice:
             raise RankMismatch("coefficient length differs from basis size")
         if self.rank == 0:
             return tuple(0 for _ in range(self.host.rank))
-        return la.vecmat(tuple(int(c) for c in coeffs), self.basis)
+        return la.vecmat(la.int_vector(coeffs), self.basis)
 
     def as_lattice(self) -> Lattice:
         """Induced lattice: Gram of the basis rows under the host form."""
@@ -244,7 +251,7 @@ class Isometry:
         object.__setattr__(self, "matrix", la.freeze(self.matrix))
 
     def apply(self, v: VectorLike) -> IntVec:
-        return la.matvec(self.matrix, tuple(int(c) for c in v))
+        return la.matvec(self.matrix, la.int_vector(v))
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other (matrix product self.matrix @ other.matrix)."""
@@ -319,7 +326,7 @@ def from_diagonal(entries: Sequence[int]) -> Lattice:
     n = len(entries)
     return Lattice(
         tuple(
-            tuple(int(entries[i]) if i == j else 0 for j in range(n))
+            tuple(entries[i] if i == j else 0 for j in range(n))
             for i in range(n)
         )
     )
@@ -350,7 +357,7 @@ def orth_complement(lat: Lattice, sub) -> Sublattice:
             raise RankMismatch("sublattice host differs from given lattice")
         rows = sub.basis
     else:
-        rows = tuple(tuple(int(c) for c in _coerce_vector(v, lat.rank)) for v in sub)
+        rows = tuple(la.int_vector(_coerce_vector(v, lat.rank)) for v in sub)
     pairing_rows = [gram_row(lat, r) for r in rows]
     return Sublattice(lat, la.int_kernel(pairing_rows, lat.rank))
 
@@ -390,7 +397,7 @@ def sublattice_index(inner_sub: Sublattice, outer_sub: Sublattice) -> int:
 
 
 def is_primitive(v: VectorLike) -> bool:
-    return content(tuple(int(c) for c in v)) == 1
+    return content(la.int_vector(v)) == 1
 
 
 __all__ = [

@@ -1,9 +1,11 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from k3lag.criteria import (
+    ClassifyReport,
     SlagCertificate,
     certificate_for,
     classify,
@@ -177,6 +179,41 @@ def test_classify_vectors(U, E8):
     assert rep.case == "Split" and rep.roots_generate and rep.equal
     rep = classify(Lattice(()))
     assert rep.equal
+
+
+def test_classify_roots_generate_is_derived_from_equal(U, E8):
+    assert "roots_generate" not in {f.name for f in fields(ClassifyReport)}
+    for lat in (from_diagonal([-4]), E8, Lattice(())):
+        rep = classify(lat)
+        assert rep.case == "Split" and rep.roots_generate is rep.equal
+    rep = classify(U)
+    assert rep.case == "PositiveWitness" and rep.roots_generate is None
+    with pytest.raises(AttributeError):
+        rep.roots_generate = True
+
+
+def test_non_integral_gamma_is_refused(K3):
+    # used to truncate to the zero vector: ok, with the empty certificate
+    omega = (1, 1) + (0,) * 20
+    sub = lag_lattice(K3, omega)
+    gamma = (Fraction(1, 2), Fraction(-1, 2)) + (0,) * 20
+    check = verify_certificate(sub, gamma, SlagCertificate((), sub))
+    assert not check and "integer" in check.reason
+    with pytest.raises(NotMember):
+        certificate_for(K3, omega, gamma)
+    # an integral Fraction gamma is still certified
+    e = (1, -1) + (0,) * 20
+    cert = certificate_for(K3, omega, tuple(map(Fraction, e)))
+    assert verify_certificate(sub, e, cert)
+
+
+def test_non_integral_coefficient_is_refused(K3):
+    omega = (1, 1) + (0,) * 20
+    sub = lag_lattice(K3, omega)
+    e = (1, -1) + (0,) * 20
+    cert = SlagCertificate(((Fraction(1, 2), tuple(2 * c for c in e)),), sub)
+    check = verify_certificate(sub, e, cert)
+    assert not check and "non-integral coefficient" in check.reason
 
 
 def test_classify_positive_means_basis_decomposes(U3):

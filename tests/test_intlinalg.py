@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from k3lag import intlinalg as la
 from k3lag.enumeration import find_positive
-from k3lag.lattice import Lattice, norm, signature
+from k3lag.lattice import Lattice, k3_lattice, norm, signature
 
 from test_enumeration import _frac_inverse
 
@@ -258,6 +258,92 @@ def test_smith_invariants_divide_and_match_det(m):
             for f in inv:
                 prod *= f
             assert prod == d
+
+
+def _vecmat_reference(v, m):
+    if not m:
+        return ()
+    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
+
+
+def _same(got, want):
+    return got == want and [type(x) for x in got] == [type(x) for x in want]
+
+
+@st.composite
+def vecmat_inputs(draw):
+    rows = draw(st.integers(min_value=0, max_value=22))
+    cols = draw(st.integers(min_value=1, max_value=22))
+    entry = st.integers(min_value=-(2**70), max_value=2**70)
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    # every zero count: none set, one entry, half, all, or any in between
+    nonzero = draw(st.sampled_from((0, min(1, rows), rows // 2, (rows + 1) // 2, rows))
+                   | st.integers(min_value=0, max_value=rows))
+    where = draw(st.permutations(range(rows)))[:nonzero]
+    coeff = st.integers(min_value=-(2**40), max_value=2**40).filter(bool)
+    v = [0] * rows
+    for i in where:
+        v[i] = draw(coeff)
+    return tuple(v), tuple(map(tuple, m))
+
+
+@given(vecmat_inputs())
+@settings(max_examples=300, deadline=None)
+def test_vecmat_matches_the_reference_at_every_zero_count(case):
+    v, m = case
+    assert _same(la.vecmat(v, m), _vecmat_reference(v, m))
+    assert _same(la.vecmat(list(v), [list(r) for r in m]), _vecmat_reference(v, m))
+
+
+def test_vecmat_sparse_and_dense_vectors_on_the_k3_gram():
+    g = k3_lattice().gram
+    rng = random.Random(17)
+    for nonzero in (0, 1, 2, 10, 11, 12, 21, 22):
+        for _ in range(20):
+            v = [0] * 22
+            for i in rng.sample(range(22), nonzero):
+                v[i] = rng.choice((-3, -1, 1, 2, 5))
+            v = tuple(v)
+            assert _same(la.vecmat(v, g), _vecmat_reference(v, g))
+
+
+def test_vecmat_fraction_vectors_keep_the_column_sums():
+    g = k3_lattice().gram
+    zero = (Fraction(0),) * 22
+    got = la.vecmat(zero, g)
+    assert got == (0,) * 22 and all(type(x) is Fraction for x in got)
+    # a Fraction zero among mostly-zero ints turns every column into a Fraction
+    v = (Fraction(0), 1) + (0,) * 20
+    got = la.vecmat(v, g)
+    assert _same(got, _vecmat_reference(v, g)) and all(type(x) is Fraction for x in got)
+    v = (Fraction(1, 2), 0, Fraction(-3, 7)) + (0,) * 19
+    assert _same(la.vecmat(v, g), _vecmat_reference(v, g))
+    assert la.vecmat(v, g)[1] == Fraction(1, 2)
+    v = (2, 0, 0, Fraction(5, 1))
+    m = ((1, 2), (3, 4), (5, 6), (7, 8))
+    assert _same(la.vecmat(v, m), (Fraction(37), Fraction(44)))
+
+
+def test_vecmat_shape_mismatch_and_empty_matrix():
+    with pytest.raises(ValueError):
+        la.vecmat((1, 0, 0), ((1,), (2,)))
+    with pytest.raises(ValueError):
+        la.vecmat((1,), ())
+    with pytest.raises(ValueError):
+        la.vecmat((), ((1, 2),))
+    assert la.vecmat((), ()) == ()
+
+
+def test_int_vector_checks_instead_of_truncating():
+    assert la.int_vector((Fraction(4, 2), 3, True, -2.0)) == (2, 3, 1, -2)
+    assert all(type(x) is int for x in la.int_vector((Fraction(4, 2), True, 2.0)))
+    assert la.int_vector(x for x in (1, Fraction(6, 3))) == (1, 2)
+    for bad in ((Fraction(1, 2),), (0.9,), (1, Fraction(-7, 3)), ("3",)):
+        with pytest.raises(ValueError):
+            la.int_vector(bad)
+    assert la.freeze([[1, Fraction(2, 1)], (3, 4)]) == ((1, 2), (3, 4))
+    with pytest.raises(ValueError):
+        la.freeze([[1, Fraction(1, 2)]])
 
 
 def test_frac_inverse_and_integral_row():

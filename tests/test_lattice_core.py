@@ -9,6 +9,7 @@ from k3lag.errors import RankMismatch
 from k3lag.exact import MarkerPoly
 from k3lag.lattice import (
     FormalVector,
+    Isometry,
     Lattice,
     Sublattice,
     direct_sum,
@@ -44,6 +45,48 @@ def test_gram_validation():
         Lattice(((0, 1), (2, 0)))
     with pytest.raises(ValueError):
         Lattice(((0, 1),))
+
+
+def test_non_integral_entries_are_refused_not_truncated(K3):
+    # int() used to truncate these silently: gram ((1, 1), (1, 0)), rank 0
+    with pytest.raises(ValueError):
+        Lattice(((Fraction(3, 2), 1), (1, 0.9)))
+    half = (Fraction(1, 2),) + (0,) * 21
+    with pytest.raises(ValueError):
+        Sublattice.from_generators(K3, [half])
+    with pytest.raises(ValueError):
+        Isometry(((Fraction(1, 2),),))
+    with pytest.raises(ValueError):
+        from_diagonal([Fraction(-5, 2)])
+    with pytest.raises(ValueError):
+        Lattice((("1",),))
+
+
+def test_formal_vector_markers_are_checked():
+    base = (1, 0)
+    for marker in (Fraction(3, 2), 2.7):
+        with pytest.raises(ValueError):
+            FormalVector(base, Fraction(1, 3), ((marker, (0, 1)),))
+    f = FormalVector(base, Fraction(1, 3), ((Fraction(4, 2), (0, 1)),))
+    assert f.terms[0][0] == 2 and type(f.terms[0][0]) is int
+
+
+def test_integral_values_are_still_accepted(K3):
+    lat = Lattice(((Fraction(4, 2), 1.0), (True, 0)))
+    assert lat.gram == ((2, 1), (1, 0))
+    assert all(type(x) is int for row in lat.gram for x in row)
+    gen = (Fraction(2, 1),) + (0,) * 21
+    assert Sublattice.from_generators(K3, [gen]).basis == ((2,) + (0,) * 21,)
+    assert Sublattice.full(K3).contains(gen)
+
+
+def test_non_integral_vector_is_in_no_sublattice(K3):
+    half = (Fraction(1, 2),) + (0,) * 21
+    assert not Sublattice.zero(K3).contains(half)
+    assert Sublattice.full(K3).coords_of(half) is None
+    assert half not in Sublattice.full(K3)
+    with pytest.raises(RankMismatch):
+        Sublattice.full(K3).coords_of((Fraction(1, 2),))
 
 
 def test_inner_examples(U, E8, U3):
