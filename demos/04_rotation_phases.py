@@ -25,7 +25,7 @@ def v(*coords):
 
 # theta = (e1+f1) + i(e2+f2), omega = e3+f3: all identities hold exactly.
 period = PeriodData(U3, v(1, 1), v(0, 0, 1, 1), v(0, 0, 0, 0, 1, 1))
-print("period identities:", validate_period(period).checked)
+print("period identities:", validate_period(period))
 
 for gamma, label in [(v(1, 0), "e1"), (v(0, 0, 1, 0), "e2"), (v(1, 0, 1, 0), "e1+e2")]:
     ph = phase_square(period, gamma)

@@ -42,7 +42,8 @@ from .criteria import (
 )
 from .eichler import canonical_form, canonical_target, witness_failures
 from .enumeration import Unknown, find_isotropic, find_positive, roots_generate
-from .errors import InvalidPeriod, LatticeError, RankMismatch, TypeOneOne
+from .errors import FormalOmegaUnsupported, InvalidPeriod, LatticeError, RankMismatch
+from .errors import TypeOneOne
 from .exact import primitivize, rational_direction
 from .fibration import syz_witness
 from .hodge import PeriodData, phase_square
@@ -257,7 +258,7 @@ def _run_decompose(host, omega, gamma, root_choice, theta, verbatim):
                 "zeta_squared": phase.zeta_squared,
                 "root_choice": root_choice,
             }
-        except (TypeOneOne, InvalidPeriod) as exc:
+        except (TypeOneOne, InvalidPeriod, FormalOmegaUnsupported) as exc:
             phase_doc = {"unavailable": exc.code}
     echo = {"host": host, "gamma": gamma, "options": {"root_choice": root_choice}}
     result = {

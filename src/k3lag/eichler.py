@@ -4,13 +4,17 @@ Hosts must carry the block shape U + U + R with R even unimodular (the K3
 lattice in its fixed coordinate order qualifies). A primitive vector w with
 w.w = 2d >= 0 is carried onto e1 + d*f1 by an explicit composition of
 transvections and U-block isometries; the isometry is returned and can be
-re-verified exactly. Orthogonal positive/isotropic witnesses are pulled
-back from the second hyperbolic block.
+re-verified exactly. The Eichler formula is written once, as the walker's
+rank-2 update, which the public transvection applies to the identity. With
+e1, f1, e2, f2 as coordinates 0..3, every Euclid step of the walk is one
+move rule, bump(i, j, m) = E(e_{i^1}, m e_j): it adds m (w.e_j) to w.e_i.
+Orthogonal positive/isotropic witnesses are pulled back from the second
+hyperbolic block.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 from . import intlinalg as la
 from .errors import (
@@ -48,24 +52,11 @@ def transvection(lat: Lattice, u, a) -> Isometry:
         raise NotIsotropic(f"u.u = {norm(lat, uv)} must be 0")
     if inner(lat, uv, av) != 0:
         raise NotOrthogonal(f"u.a = {inner(lat, uv, av)} must be 0")
-    asq = norm(lat, av)
-    if asq % 2:
+    if norm(lat, av) % 2:
         raise ParityFailure("a.a must be even")
-    half = asq // 2
-    ga = gram_row(lat, av)
-    gu = gram_row(lat, uv)
-    n = lat.rank
-    mat = [
-        [
-            (1 if i == j else 0)
-            + uv[i] * ga[j]
-            - av[i] * gu[j]
-            - half * uv[i] * gu[j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return Isometry(tuple(tuple(row) for row in mat))
+    st = _Walker(lat, uv)
+    st.transvect(uv, av)
+    return Isometry(st.g)
 
 
 def require_two_hyperbolic_blocks(lat: Lattice) -> None:
@@ -106,21 +97,13 @@ class _Walker:
         self.cur = tuple(w)
         self.prow = gram_row(lat, self.cur)
         self.g: List[List[int]] = [list(r) for r in la.identity(self.n)]
-        self.moves = 0
-
-    def pairing(self, idx: int) -> int:
-        return self.prow[idx]
-
-    def rest(self) -> IntVec:
-        return self.cur[4:]
 
     def transvect(self, u: IntVec, a: IntVec) -> None:
+        """w <- E(u, a) w and g <- E(u, a) g."""
         lat = self.lat
-        asq = norm(lat, a)
-        half = asq // 2
+        half = norm(lat, a) // 2
         ga = gram_row(lat, a)
         gu = gram_row(lat, u)
-        # vector update
         xa = la.dot(self.prow, a)
         xu = la.dot(self.prow, u)
         self.cur = tuple(
@@ -138,7 +121,15 @@ class _Walker:
             row = self.g[i]
             for j in range(self.n):
                 row[j] += ui * rag[j] - ai * rug[j] - half * ui * rug[j]
-        self.moves += 1
+
+    def bump(self, i: int, j: int, m: int) -> None:
+        """The walk's move E(e_{i^1}, m e_j): it adds m (w.e_j) to w.e_i.
+
+        i and j index e1, f1, e2, f2 (0..3) with j != i; e_{i^1} is the
+        isotropic partner of e_i, so w.e_i is the pairing that moves.
+        """
+        a = tuple(m if k == j else 0 for k in range(self.n))
+        self.transvect(self.lat.basis_vector(i ^ 1), a)
 
     def negate_u1(self) -> None:
         self.cur = (-self.cur[0], -self.cur[1]) + self.cur[2:]
@@ -157,26 +148,21 @@ def _trunc_div(a: int, b: int) -> int:
     return q if (a < 0) == (b < 0) else -q
 
 
-def _euclid(
-    get_q: Callable[[], int],
-    get_x: Callable[[], int],
-    bump_q: Callable[[int], None],
-    bump_x: Callable[[int], None],
-) -> None:
-    """Drive x to 0, leaving q = +-gcd(q, x), via q += n*x / x += n*q moves."""
+def _euclid(st: _Walker, i: int, j: int) -> None:
+    """Drive w.e_j to 0, leaving w.e_i = +-gcd, by bump(i, j) / bump(j, i) moves."""
     while True:
-        x = get_x()
+        x = st.prow[j]
         if x == 0:
             return
-        q = get_q()
+        q = st.prow[i]
         if q == 0:
-            bump_q(1)
-            bump_x(-1)
+            st.bump(i, j, 1)
+            st.bump(j, i, -1)
             return
         if abs(x) >= abs(q):
-            bump_x(-_trunc_div(x, q))
+            st.bump(j, i, -_trunc_div(x, q))
         else:
-            bump_q(-_trunc_div(q, x))
+            st.bump(i, j, -_trunc_div(q, x))
 
 
 def canonical_target(n: int, d: int) -> IntVec:
@@ -202,86 +188,56 @@ def canonical_form(lat: Lattice, w) -> CanonicalFormResult:
         return CanonicalFormResult(Isometry.identity(n), d, target)
 
     st = _Walker(lat, wv)
-    e1, f1, e2, f2 = (lat.basis_vector(i) for i in range(4))
-
-    def scaled(v: IntVec, m: int) -> IntVec:
-        return tuple(m * c for c in v)
-
-    def s1() -> int:
-        return st.pairing(0)  # w.e1
-
-    def t1() -> int:
-        return st.pairing(1)  # w.f1
-
-    def s2() -> int:
-        return st.pairing(2)  # w.e2
-
-    def t2() -> int:
-        return st.pairing(3)  # w.f2
-
-    def bump_s1_by_s2(m: int) -> None:
-        st.transvect(f1, scaled(e2, m))
-
-    def bump_s2_by_s1(m: int) -> None:
-        st.transvect(f2, scaled(e1, m))
-
-    def bump_s1_by_t2(m: int) -> None:
-        st.transvect(f1, scaled(f2, m))
-
-    def bump_t2_by_s1(m: int) -> None:
-        st.transvect(e2, scaled(e1, m))
 
     def zero_u2() -> None:
         # a pass that leaves the second block dirty must have strictly shrunk
         # |w.e1| (only w.e1-reductions re-pollute), so this terminates
         while True:
-            before = abs(s1())
-            _euclid(s1, s2, bump_s1_by_s2, bump_s2_by_s1)
-            _euclid(s1, t2, bump_s1_by_t2, bump_t2_by_s1)
-            if s2() == 0 and t2() == 0:
+            before = abs(st.prow[0])
+            _euclid(st, 0, 2)
+            _euclid(st, 0, 3)
+            if st.prow[2] == 0 and st.prow[3] == 0:
                 return
-            if before != 0 and abs(s1()) >= before:
+            if before != 0 and abs(st.prow[0]) >= before:
                 raise ImpossibleState("second hyperbolic block failed to clear")
 
     # each full pass folds another pairing into gcd position; a stalled pass
     # would force w.e1 to divide every pairing, contradicting primitivity
-    while abs(s1()) != 1:
-        start = abs(s1())
+    while abs(st.prow[0]) != 1:
+        start = abs(st.prow[0])
         zero_u2()
-        if abs(s1()) == 1:
+        if abs(st.prow[0]) == 1:
             break
-        z = st.rest()
+        z = st.cur[4:]
         if any(z):
             # pull the content of the rest component into w.e2 (w.f2 is 0, so
             # the rest component itself is untouched), then fold into w.e1
-            a_rest = _rest_gcd_vector(lat, z)
-            st.transvect(f2, a_rest)
-            _euclid(s1, s2, bump_s1_by_s2, bump_s2_by_s1)
+            st.transvect(lat.basis_vector(3), _rest_gcd_vector(lat, z))
+            _euclid(st, 0, 2)
             zero_u2()
-            if abs(s1()) == 1:
+            if abs(st.prow[0]) == 1:
                 break
-        if t1() != 0:
-            st.transvect(f2, f1)  # w.e2 += w.f1; safe since w.f2 = 0
-            _euclid(s1, s2, bump_s1_by_s2, bump_s2_by_s1)
+        if st.prow[1] != 0:
+            st.bump(2, 1, 1)  # w.e2 += w.f1; safe since w.f2 = 0
+            _euclid(st, 0, 2)
             zero_u2()
-        if abs(s1()) == 1:
+        if abs(st.prow[0]) == 1:
             break
-        if abs(s1()) == start:
+        if abs(st.prow[0]) == start:
             raise ImpossibleState("no progress: input cannot be primitive")
 
-    if s1() == -1:
+    if st.prow[0] == -1:
         st.negate_u1()
-    if s1() != 1:
+    if st.prow[0] != 1:
         raise ImpossibleState("unit pairing lost before endgame")
     rest_component = (0, 0) + st.cur[2:]
     if any(rest_component):
-        st.transvect(e1, rest_component)
+        st.transvect(lat.basis_vector(0), rest_component)
     if st.cur != target:
         st.swap_u1()
     if st.cur != target:
         raise ImpossibleState("endgame did not reach the canonical vector")
-    g = Isometry(tuple(tuple(r) for r in st.g))
-    return CanonicalFormResult(g, d, target)
+    return CanonicalFormResult(Isometry(st.g), d, target)
 
 
 def _rest_gcd_vector(lat: Lattice, z: IntVec) -> IntVec:

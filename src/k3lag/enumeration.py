@@ -5,21 +5,22 @@ the nef reflection walk share one Fincke-Pohst engine, _ellipsoid_points:
 one explicit-stack loop (Schnorr-Euchner) over the integer diagonalization
 V P V^T = diag of the definite form (la.symmetric_diagonalize, the
 elimination behind signatures). The level forms F_k = (V P)_k are integer
-rows and the weights 1 / diag_k, so only the centre's denominator and the
-lcm of q^2 diag_k are scaled away once per call and the loop runs on ints
-alone (isqrt bounds, no Fraction, never a float). Root lists and slices
-visit only the shell P(x - c) == bound, short vectors only one point of
-each +-pair, and a _Slice yields each root level delta.w = a lazily, in
-lexicographic order, as coordinates over one complement of w with integer
-centres. Also root reports (one logged elimination per root list) and
-positive/isotropic searches.
+rows and the weights 1 / diag_k. The interface is integer too: a caller
+passes the centre as an integer vector over one denominator q and the
+bound over the same q, so only the lcm of diag_k is scaled away once per
+call and the loop runs on ints alone (isqrt bounds, never a float); this
+module has no Fraction. Root lists and slices visit only the shell
+P(x - c) == bound, short vectors only one point of each +-pair, and a
+_Slice yields each root level delta.w = a lazily, in lexicographic order,
+as coordinates over one complement of w with integer centres. Also root
+reports (one logged elimination per root list) and positive/isotropic
+searches.
 Completeness is the contract: enumerations return exactly the stated
 finite sets.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
 from typing import Iterator, List, Optional, Tuple
@@ -63,26 +64,26 @@ class RootReport:
     _log: tuple = field(default=(), repr=False, compare=False)
 
 
-def _ellipsoid_points(
-    pd, dec, center: Tuple[Fraction, ...], bound: Fraction, shell=False, half=False
-) -> Iterator:
-    """Integer points x with P(x - center) <= bound, with the exact value.
+def _ellipsoid_points(pd, dec, cq, q, top, shell=False, half=False) -> Iterator[IntVec]:
+    """Integer points x with P(x - c) <= b for the centre c = cq / q and the
+    bound b = top / q (cq an integer vector, q >= 1 and top integers).
 
     dec = (diag, V) is la.symmetric_diagonalize of the definite form P = pd,
     so callers enumerating several ellipsoids of one form diagonalize it
     once. V P V^T = diag gives P(y) = sum_k F_k(y)^2 / diag_k for the
     integer forms F_k = (V P)_k, and as a definite form needs no swap or
-    add move, F_k involves only y_k..y_{n-1}. With q the denominator of the
-    centre, L_k = F_k(q x - q c) is an integer and P(x - c) = sum_k e_k L_k^2
-    / D for D = lcm(denominator of bound, q^2 diag_k) and integer weights
-    e_k = D / (q^2 diag_k). The search then runs on ints alone: level k
-    admits |L_k| <= isqrt(rest // e_k). One loop keeps per-level state in
-    place of recursion; levels go n-1 down to 0 and values ascend within a
-    level, so the order is deterministic.
+    add move, F_k involves only y_k..y_{n-1}. L_k = F_k(q x - cq) is an
+    integer, and with D = lcm(diag_k) and integer weights e_k = D / diag_k,
+    P(x - c) <= b reads sum_k e_k L_k^2 <= D q top. The search runs on ints
+    alone: level k admits |L_k| <= isqrt(rest // e_k), the exact floor of
+    its real condition, so an unreduced q gives the same points in the same
+    order. One loop keeps per-level state in place of recursion; levels go
+    n-1 down to 0 and values ascend within a level, so the order is
+    deterministic.
 
-    With shell, only the x with P(x - c) == bound, as bare tuples in the
-    same order: level 0 takes the whole rest, L_0 = +-isqrt(rest // e_0)
-    when that is exact, and no value is formed or compared.
+    With shell, only the x with P(x - c) == b: level 0 takes the whole
+    rest, L_0 = +-isqrt(rest // e_0) when that is exact, and no value is
+    formed or compared.
 
     With half (centre 0 only), one point of each +-pair: v >= 0 while every
     outer level is 0, and v > 0 on level 0, so the last nonzero coordinate
@@ -91,25 +92,22 @@ def _ellipsoid_points(
     diag, basis = dec
     if any(d <= 0 for d in diag):
         raise NotNegativeDefinite("form is not definite")
-    if half and any(center):
+    if half and any(cq):
         raise ValueError("half needs centre 0")
     n = len(diag)
-    bound = Fraction(bound)
-    if bound < 0:
+    if top < 0:
         return
     if n == 0:
-        if not half and (bound == 0 or not shell):
-            yield () if shell else ((), Fraction(0))
+        if not half and (top == 0 or not shell):
+            yield ()
         return
-    q = lcm(*(c.denominator for c in center))
-    cq = [int(c * q) for c in center]  # q * centre
     forms = la.matmul(basis, pd)
     terms = [[(j, f) for j, f in enumerate(forms[k]) if j > k and f] for k in range(n)]
     step = [q * forms[k][k] for k in range(n)]  # L_k = step_k x_k + off_k
     base = [-forms[k][k] * cq[k] for k in range(n)]
-    scale = lcm(bound.denominator, *(q * q * d for d in diag))
-    e = [scale // (q * q * d) for d in diag]
-    total = int(bound * scale)
+    scale = lcm(*diag)
+    e = [scale // d for d in diag]
+    total = scale * q * top
     e0, s0 = e[0], step[0]
 
     # per level: x, y = q (x - c), the offset L_k - step_k x_k, the upper value
@@ -135,11 +133,9 @@ def _ellipsoid_points(
                         yield tuple(x)
             k = 1
         else:
-            done = total - left
             for v in range(1 if flat == 0 else -((r + c) // s0), (r - c) // s0 + 1):
                 x[0] = v
-                t = s0 * v + c
-                yield tuple(x), Fraction(done + e0 * t * t, scale)
+                yield tuple(x)
             k = 1
         # the next value: back up past exhausted levels, then step down one
         while k < n and x[k] >= hi[k]:
@@ -175,10 +171,9 @@ def short_vectors(lat: Lattice, bound: int, exact: bool = False) -> List[IntVec]
     if bound < 1:
         raise ValueError("bound must be a positive integer")
     pd = tuple(tuple(-g for g in row[::-1]) for row in lat.gram[::-1])
-    zero = tuple(Fraction(0) for _ in range(lat.rank))
     dec = la.symmetric_diagonalize(pd)
-    points = _ellipsoid_points(pd, dec, zero, Fraction(bound), shell=exact, half=True)
-    return [x[::-1] for x in points] if exact else [x[::-1] for x, _ in points]
+    points = _ellipsoid_points(pd, dec, (0,) * lat.rank, 1, bound, shell=exact, half=True)
+    return [x[::-1] for x in points]
 
 
 def roots_generate(lat: Lattice) -> RootReport:
@@ -296,9 +291,8 @@ class _Slice:
         """The c of the roots x_a + c M with delta.w = a, lazily, in order."""
         if a % self.d == 0:
             k, den = a // self.d, self.den
-            u = tuple(Fraction(k * v, den) for v in self.us)
-            r = Fraction(k * k * self.r1 + 2 * den, den)
-            yield from _ellipsoid_points(self.pd, self.dec, u, r, shell=True)
+            cq, top = tuple(k * v for v in self.us), k * k * self.r1 + 2 * den
+            yield from _ellipsoid_points(self.pd, self.dec, cq, den, top, shell=True)
 
     def host(self, xa: IntVec, c: IntVec) -> IntVec:
         """The root x_a + c M in host coordinates."""

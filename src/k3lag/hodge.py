@@ -58,12 +58,6 @@ class PeriodData:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    checked: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class RotationPhase:
     """c = gamma.theta and zeta^2 = conj(c)/c, with the chosen square root."""
 
@@ -72,9 +66,9 @@ class RotationPhase:
     root_choice: int = 1
 
 
-def validate_period(p: PeriodData) -> ValidationReport:
-    """Check every period identity exactly; raise InvalidPeriod on the first
-    violated one."""
+def validate_period(p: PeriodData) -> Tuple[str, ...]:
+    """Check every period identity exactly and return the ones checked;
+    raise InvalidPeriod on the first violated one."""
     checked = []
     lat = p.host
 
@@ -100,7 +94,7 @@ def validate_period(p: PeriodData) -> ValidationReport:
         check("omega.theta_im = 0", inner(lat, om, ti).is_zero())
         # no positivity identity for a formal omega: signs of formal
         # expressions are undefined
-    return ValidationReport(True, tuple(checked))
+    return tuple(checked)
 
 
 def _require_rational_omega(p: PeriodData) -> None:

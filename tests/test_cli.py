@@ -309,6 +309,26 @@ def test_decompose_with_formal_omega(capsys, tmp_path):
     assert code == 0 and vdoc["result"]["ok"] is True
 
 
+def test_decompose_with_formal_omega_and_theta(capsys, tmp_path):
+    # a formal omega has no phase: the phase reads unavailable and the
+    # certificate is the one of the theta-less run
+    rows = [["1" if j == 6 + i else "0" for j in range(22)] for i in range(8)]
+    _, rdoc = run_cli(capsys, ["realize"], {"host": "K3", "sublattice": rows}, tmp_path)
+    gamma = ["0"] * 6 + ["2", "-1", "0", "1", "0", "0", "1", "0"] + ["0"] * 8
+    payload = {"host": "K3", "omega": rdoc["result"]["witness"], "gamma": gamma}
+    code, plain = run_cli(capsys, ["decompose"], payload, tmp_path)
+    assert code == 0
+    unit = [["1/1" if j in pair else "0/1" for j in range(22)] for pair in ((2, 3), (4, 5))]
+    payload.update(theta_re=unit[0], theta_im=unit[1])
+    code, doc = run_cli(capsys, ["decompose"], payload, tmp_path)
+    assert code == 0
+    assert doc["result"]["phase"] == {"unavailable": "formal_omega_unsupported"}
+    assert doc["result"]["certificate"] == plain["result"]["certificate"]
+    assert doc["result"]["verified"] is True
+    code, vdoc = run_cli(capsys, ["verify"], doc, tmp_path)
+    assert code == 0 and vdoc["result"]["ok"] is True
+
+
 def test_classify_and_info_roundtrip(capsys, tmp_path):
     # every emitted document re-parses and re-verifies
     for args in (["classify", "--lattice", "E8"], ["info", "--lattice", "U"]):

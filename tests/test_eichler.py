@@ -3,6 +3,7 @@ import random
 import pytest
 
 from k3lag.eichler import (
+    _Walker,
     canonical_form,
     orth_witnesses,
     require_two_hyperbolic_blocks,
@@ -20,6 +21,7 @@ from k3lag.lattice import (
     Isometry,
     direct_sum,
     from_diagonal,
+    gram_row,
     hyperbolic_plane,
     inner,
     norm,
@@ -137,6 +139,32 @@ def test_canonical_form_random(K3):
         assert 2 * res.d == n2
         assert res.g.apply(w) == res.target
         assert res.g.preserves(K3)
+
+
+def test_bump_is_one_transvection(K3):
+    # bump(i, j, m) = E(e_{i^1}, m e_j) on the walk's state, for every (i, j)
+    # the walk moves by; each starts from a walker some moves away from w
+    rng = random.Random(1717)
+    moves = ((0, 2), (2, 0), (0, 3), (3, 0), (2, 1))
+    for _ in range(8):
+        w = sample_positive_primitive(rng, K3)
+        for i, j in moves:
+            for m in range(-3, 4):
+                st = _Walker(K3, w)
+                for _ in range(3):
+                    st.bump(*rng.choice(moves), rng.choice((-2, -1, 1, 2)))
+                g0, cur, prow = Isometry(st.g), st.cur, st.prow
+                st.bump(i, j, m)
+                a = tuple(m * c for c in K3.basis_vector(j))
+                e = transvection(K3, K3.basis_vector(i ^ 1), a)
+                g = Isometry(st.g)
+                assert g == e.compose(g0), (w, i, j, m)
+                assert g.preserves(K3)
+                assert st.cur == g.apply(w) and st.prow == gram_row(K3, st.cur)
+                dp = {k: y - x for k, (x, y) in enumerate(zip(prow, st.prow)) if y != x}
+                want = {i: m * prow[j], j ^ 1: -m * prow[i ^ 1]}
+                assert dp == {k: v for k, v in want.items() if v}, (w, i, j, m)
+                assert {k for k, (x, y) in enumerate(zip(cur, st.cur)) if y != x} <= {i ^ 1, j}
 
 
 def test_orth_witnesses_fixtures(K3):

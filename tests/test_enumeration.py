@@ -370,6 +370,17 @@ def test_slice_coords_build_its_levels():
 # --- the integer-scaled ellipsoid engine ---------------------------------
 
 
+def _int_args(center, bound):
+    """(cq, q, top) for the engine: centre cq / q and bound top / q, q reduced."""
+    center, bound = [Fraction(c) for c in center], Fraction(bound)
+    q = lcm(bound.denominator, *(c.denominator for c in center))
+    return tuple(int(c * q) for c in center), q, int(bound * q)
+
+
+def _points(pd, dec, center, bound, **kw):
+    return list(_ellipsoid_points(pd, dec, *_int_args(center, bound), **kw))
+
+
 def _ellipsoid_cases():
     """The seeded forms, and (pd, dec, center, bound) for each case."""
     rng = random.Random(907)
@@ -398,10 +409,22 @@ def test_ellipsoid_points_against_box_scan():
     forms, cases = _ellipsoid_cases()
     on_boundary = 0
     for pd, dec, center, bound in cases:
-        got = list(_ellipsoid_points(pd, dec, center, bound))
-        assert got == brute_ellipsoid(pd, center, bound), (pd, center, bound)
-        on_boundary += sum(1 for _, q in got if q == bound)
+        want = brute_ellipsoid(pd, center, bound)
+        assert _points(pd, dec, center, bound) == [x for x, _ in want], (pd, center, bound)
+        on_boundary += sum(1 for _, q in want if q == bound)
     assert on_boundary >= 3 * len(forms)
+
+
+def test_ellipsoid_points_unreduced_denominator():
+    # scaling (cq, q, top) by t keeps centre and bound, so the same list: the
+    # slice passes its den unreduced
+    for pd, dec, center, bound in _ellipsoid_cases()[1]:
+        cq, q, top = _int_args(center, bound)
+        for shell in (False, True):
+            want = list(_ellipsoid_points(pd, dec, cq, q, top, shell=shell))
+            for t in (2, 3, 6):
+                scaled = tuple(t * c for c in cq), t * q, t * top
+                assert list(_ellipsoid_points(pd, dec, *scaled, shell=shell)) == want
 
 
 def test_ellipsoid_shell_against_box_scan():
@@ -410,7 +433,7 @@ def test_ellipsoid_shell_against_box_scan():
     nonempty = empty = 0
     for pd, dec, center, bound in cases:
         want = [x for x, q in brute_ellipsoid(pd, center, bound) if q == bound]
-        got = list(_ellipsoid_points(pd, dec, center, bound, shell=True))
+        got = _points(pd, dec, center, bound, shell=True)
         assert got == want, (pd, center, bound)
         nonempty += bool(got)
         # a value of P(x - c) has a denominator dividing 36 here, never 5
@@ -420,22 +443,20 @@ def test_ellipsoid_shell_against_box_scan():
     pd = ((2, 1), (1, 3))
     dec = la.symmetric_diagonalize(pd)
     zero = (Fraction(0), Fraction(0))
-    assert list(_ellipsoid_points(pd, dec, zero, Fraction(1), shell=True)) == []
-    assert list(_ellipsoid_points(pd, dec, zero, Fraction(2), shell=True)) == [
-        (-1, 0), (1, 0)
-    ]
-    assert list(_ellipsoid_points((), ((), ()), (), Fraction(0), shell=True)) == [()]
-    assert list(_ellipsoid_points((), ((), ()), (), Fraction(3), shell=True)) == []
-    assert list(_ellipsoid_points(pd, dec, zero, Fraction(-1), shell=True)) == []
+    assert _points(pd, dec, zero, Fraction(1), shell=True) == []
+    assert _points(pd, dec, zero, Fraction(2), shell=True) == [(-1, 0), (1, 0)]
+    assert _points((), ((), ()), (), Fraction(0), shell=True) == [()]
+    assert _points((), ((), ()), (), Fraction(3), shell=True) == []
+    assert _points(pd, dec, zero, Fraction(-1), shell=True) == []
 
 
 def test_ellipsoid_points_empty_and_zero_rank():
     pd = ((2, 1), (1, 3))
     dec = la.symmetric_diagonalize(pd)
     half, third = Fraction(1, 2), Fraction(1, 3)
-    assert list(_ellipsoid_points(pd, dec, (half, Fraction(0)), Fraction(-1))) == []
-    assert list(_ellipsoid_points(pd, dec, (half, third), Fraction(0))) == []
-    assert list(_ellipsoid_points((), ((), ()), (), Fraction(3))) == [((), 0)]
+    assert _points(pd, dec, (half, Fraction(0)), Fraction(-1)) == []
+    assert _points(pd, dec, (half, third), Fraction(0)) == []
+    assert _points((), ((), ()), (), Fraction(3)) == [()]
 
 
 def _half_cases():
@@ -462,8 +483,8 @@ def test_ellipsoid_half_against_box_scan():
     nonempty = 0
     for pd, dec, zero, bound in _half_cases():
         want = [(x, q) for x, q in brute_ellipsoid(pd, zero, bound) if _last_nonzero(x) > 0]
-        assert list(_ellipsoid_points(pd, dec, zero, bound, half=True)) == want
-        shell = list(_ellipsoid_points(pd, dec, zero, bound, shell=True, half=True))
+        assert _points(pd, dec, zero, bound, half=True) == [x for x, _ in want]
+        shell = _points(pd, dec, zero, bound, shell=True, half=True)
         assert shell == [x for x, q in want if q == bound], (pd, bound)
         nonempty += bool(shell)
     assert nonempty >= len(_ellipsoid_cases()[0])
@@ -473,10 +494,8 @@ def test_ellipsoid_half_is_half_of_the_full_list():
     for pd, dec, zero, bound in _half_cases():
         origin = tuple(0 for _ in pd)
         for shell in (False, True):
-            full = list(_ellipsoid_points(pd, dec, zero, bound, shell=shell))
-            got = list(_ellipsoid_points(pd, dec, zero, bound, shell=shell, half=True))
-            if not shell:
-                full, got = [x for x, _ in full], [x for x, _ in got]
+            full = _points(pd, dec, zero, bound, shell=shell)
+            got = _points(pd, dec, zero, bound, shell=shell, half=True)
             both = got + [tuple(-c for c in x) for x in got]
             assert sorted(both) == sorted(x for x in full if x != origin)
             assert len(set(both)) == len(both)
@@ -485,15 +504,13 @@ def test_ellipsoid_half_is_half_of_the_full_list():
 def test_ellipsoid_half_rank_zero_and_one():
     for shell in (False, True):
         for bound in (Fraction(0), Fraction(3)):
-            assert list(_ellipsoid_points((), ((), ()), (), bound, shell=shell, half=True)) == []
+            assert _points((), ((), ()), (), bound, shell=shell, half=True) == []
     pd = ((2,),)
     dec = la.symmetric_diagonalize(pd)
     zero = (Fraction(0),)
-    assert list(_ellipsoid_points(pd, dec, zero, Fraction(8), half=True)) == [
-        ((1,), 2), ((2,), 8)
-    ]
-    assert list(_ellipsoid_points(pd, dec, zero, Fraction(1), half=True)) == []
-    assert list(_ellipsoid_points(pd, dec, zero, Fraction(8), shell=True, half=True)) == [(2,)]
-    assert list(_ellipsoid_points(pd, dec, zero, Fraction(0), shell=True, half=True)) == []
+    assert _points(pd, dec, zero, Fraction(8), half=True) == [(1,), (2,)]
+    assert _points(pd, dec, zero, Fraction(1), half=True) == []
+    assert _points(pd, dec, zero, Fraction(8), shell=True, half=True) == [(2,)]
+    assert _points(pd, dec, zero, Fraction(0), shell=True, half=True) == []
     with pytest.raises(ValueError):
-        list(_ellipsoid_points(pd, dec, (Fraction(1, 2),), Fraction(8), half=True))
+        _points(pd, dec, (Fraction(1, 2),), Fraction(8), half=True)

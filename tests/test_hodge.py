@@ -28,7 +28,15 @@ def toy(U3):
 
 
 def test_validate_toy(toy):
-    assert validate_period(toy).ok
+    assert validate_period(toy) == (
+        "theta_re.theta_im = 0",
+        "theta_re^2 = theta_im^2",
+        "theta.conj(theta) > 0",
+        "omega != 0",
+        "omega.theta_re = 0",
+        "omega.theta_im = 0",
+        "omega^2 > 0",
+    )
 
 
 def test_validate_degenerate_theta(U3):
