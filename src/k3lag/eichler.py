@@ -221,8 +221,6 @@ def canonical_form(lat: Lattice, w) -> CanonicalFormResult:
             st.bump(2, 1, 1)  # w.e2 += w.f1; safe since w.f2 = 0
             _euclid(st, 0, 2)
             zero_u2()
-        if abs(st.prow[0]) == 1:
-            break
         if abs(st.prow[0]) == start:
             raise ImpossibleState("no progress: input cannot be primitive")
 

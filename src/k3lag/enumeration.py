@@ -27,7 +27,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from . import intlinalg as la
 from .errors import ImpossibleState, NotNegativeDefinite, NotPositive
-from .exact import primitivize, rational_direction, sign_normalized
+from .exact import primitivize, sign_normalized
 from .lattice import (
     Lattice,
     Sublattice,
@@ -193,9 +193,8 @@ def roots_generate(lat: Lattice) -> RootReport:
 def find_positive(lat: Lattice) -> Optional[IntVec]:
     """Some v with v.v > 0, or None iff the signature has p = 0.
 
-    Deterministic: basis vectors, then basis pairs, then a rational
-    positive vector from exact diagonalization scaled to a primitive
-    integer vector.
+    Deterministic: basis vectors, then basis pairs, then the primitive
+    part of a positive row of the integer diagonalization basis.
     """
     p, _, _ = signature(lat)
     if p == 0:
@@ -214,7 +213,7 @@ def find_positive(lat: Lattice) -> Optional[IntVec]:
                     )
     diag, basis = la.symmetric_diagonalize(g)
     k = next(i for i in range(n) if diag[i] > 0)
-    v = rational_direction(basis[k])
+    v = primitivize(basis[k])
     if norm(lat, v) <= 0:
         raise ImpossibleState("diagonalization gave a non-positive vector")
     return v

@@ -10,6 +10,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Tuple, Union
 
+from . import intlinalg as la
+
 Rational = Union[int, Fraction]
 
 # A monomial is a sorted tuple of (marker index, exponent) pairs; () is 1.
@@ -159,14 +161,7 @@ def rational_direction(coords) -> tuple:
     Scales by a positive rational only, so direction-dependent data (signs,
     orthogonality) is preserved exactly.
     """
-    fracs = [Fraction(c) for c in coords]
-    if all(f == 0 for f in fracs):
-        return tuple(0 for _ in fracs)
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    return primitivize(ints)
+    return primitivize(la.integral_row(coords))
 
 
 def sign_normalized(coords) -> tuple:

@@ -22,7 +22,7 @@ from .errors import (
     TypeOneOne,
 )
 from .exact import GaussianRational
-from .lattice import FormalVector, Lattice, Sublattice, gram_row, inner, norm
+from .lattice import FormalVector, Lattice, Sublattice, inner, norm, orth_complement
 
 QVec = Tuple[Fraction, ...]
 
@@ -142,21 +142,15 @@ def phase_square(p: PeriodData, gamma, root_choice: int = 1) -> RotationPhase:
 def rotated_picard(p: PeriodData, gamma) -> Sublattice:
     """Integral classes of type (1,1) after rotating gamma to type (1,1).
 
-    These are the x with x.omega = 0 and Im(conj(c)(x.theta)) = 0, i.e.
-    (gamma.theta_re)(x.theta_im) = (gamma.theta_im)(x.theta_re); the
-    irrational modulus |c| cancels, so the cut is rational. Always
-    contains gamma.
+    These are the x with x.omega = 0 and Im(conj(c)(x.theta)) = 0 for
+    c = a + bi = gamma.theta; |c| cancels, so this is the orthogonal
+    complement of omega and a theta_im - b theta_re, each cleared to an
+    integer vector. Always contains gamma.
     """
     phase = phase_square(p, gamma)
-    lat = p.host
     a, b = phase.c.re, phase.c.im
-    row_omega = la.integral_row(gram_row(lat, p.omega))
-    g_tr = gram_row(lat, p.theta_re)
-    g_ti = gram_row(lat, p.theta_im)
-    row_rot = la.integral_row(
-        tuple(a * g_ti[j] - b * g_tr[j] for j in range(lat.rank))
-    )
-    return Sublattice(lat, la.int_kernel([row_omega, row_rot], lat.rank))
+    rot = tuple(a * ti - b * tr for tr, ti in zip(p.theta_re, p.theta_im))
+    return orth_complement(p.host, [la.integral_row(p.omega), la.integral_row(rot)])
 
 
 def kahler_sign(p: PeriodData, gamma, x, root_choice: int = 1) -> int:

@@ -10,17 +10,17 @@ and fraction-free Bareiss steps (determinant, the congruence diagonalization
 behind signatures and Fincke-Pohst, the Gauss-Jordan inverse). Only
 kernels build the echelon's whole transform; a solve replays its logged
 row operations on one vector, so a logged elimination serves every later
-solve over the same rows. Fraction is left only at the edge:
-frac_inverse's returned entries and integral_row. Integer arguments are
-checked, never truncated: int_vector and freeze accept integral values
-only. A Gram row of a mostly-zero integer vector (vecmat) sums only the
-rows of its nonzero entries; any other vector takes the column sums.
+solve over the same rows. Fraction is left only at frac_inverse's result;
+integral_row clears denominators without making one. Integer arguments
+are checked, never truncated: int_vector and freeze accept integral
+values only. A Gram row of a mostly-zero integer vector (vecmat) sums
+only the rows of its nonzero entries; other vectors take column sums.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress, repeat
-from math import gcd
+from math import gcd, lcm
 from operator import add, index, mul
 from typing import List, Optional, Sequence, Tuple
 
@@ -315,14 +315,11 @@ def smith_invariants(rows: Sequence[Sequence[int]]) -> Tuple[int, ...]:
 # rational routines
 
 
-def integral_row(frac_row: Sequence) -> Tuple[int, ...]:
-    """Clear denominators by the positive lcm, preserving the kernel."""
-    fracs = [Fraction(x) for x in frac_row]
-    lcm = 1
-    for f in fracs:
-        g = gcd(lcm, f.denominator)
-        lcm = lcm * f.denominator // g
-    return tuple(int(f * lcm) for f in fracs)
+def integral_row(row: Sequence) -> Tuple[int, ...]:
+    """d * row for the lcm d of the denominators; Fraction only for floats."""
+    row = [x if hasattr(x, "numerator") else Fraction(x) for x in row]
+    d = lcm(*(x.denominator for x in row))
+    return tuple(x.numerator * (d // x.denominator) for x in row)
 
 
 def frac_inverse(m: Sequence[Sequence[int]]) -> Tuple[Tuple[Fraction, ...], ...]:

@@ -122,37 +122,17 @@ def inner(lat: Lattice, x, y):
         yv = _coerce_vector(y, lat.rank)
         val = la.dot(la.vecmat(xv, lat.gram), yv)
         return val if isinstance(val, int) else Fraction(val)
-    if fx and not fy:
-        return _inner_formal_plain(lat, x, y)
-    if fy and not fx:
-        return _inner_formal_plain(lat, y, x)
-    return _inner_formal_formal(lat, x, y)
-
-
-def _inner_formal_plain(lat: Lattice, f: FormalVector, y) -> MarkerPoly:
-    yv = _coerce_vector(y, lat.rank)
-    if f.rank != lat.rank:
-        raise RankMismatch("formal vector rank differs from lattice rank")
-    poly = MarkerPoly.constant(la.dot(gram_row(lat, f.base), yv))
-    for i, v in f.terms:
-        poly = poly + MarkerPoly.term(f.eps * la.dot(gram_row(lat, v), yv), [i])
-    return poly
-
-
-def _inner_formal_formal(lat: Lattice, f: FormalVector, g: FormalVector) -> MarkerPoly:
+    f = x if fx else FormalVector(_coerce_vector(x, lat.rank), 1, ())
+    g = y if fy else FormalVector(_coerce_vector(y, lat.rank), 1, ())
     if f.rank != lat.rank or g.rank != lat.rank:
         raise RankMismatch("formal vector rank differs from lattice rank")
-    poly = MarkerPoly.constant(la.dot(gram_row(lat, f.base), g.base))
-    for i, v in f.terms:
-        poly = poly + MarkerPoly.term(f.eps * la.dot(gram_row(lat, v), g.base), [i])
-    for j, w in g.terms:
-        poly = poly + MarkerPoly.term(g.eps * la.dot(gram_row(lat, f.base), w), [j])
-    for i, v in f.terms:
+    # (monomial, scale, vector) terms: the base, then eps * t_i * y_i
+    g_terms = [((), 1, g.base)] + [((j,), g.eps, w) for j, w in g.terms]
+    poly = MarkerPoly()
+    for m, a, v in [((), 1, f.base)] + [((i,), f.eps, v) for i, v in f.terms]:
         row = gram_row(lat, v)
-        for j, w in g.terms:
-            poly = poly + MarkerPoly.term(
-                f.eps * g.eps * la.dot(row, w), [i, j]
-            )
+        for n, b, w in g_terms:
+            poly = poly + MarkerPoly.term(a * b * la.dot(row, w), m + n)
     return poly
 
 

@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -46,6 +48,13 @@ def v6(*coords):
 
 def v22(*coords):
     return tuple(coords) + (0,) * (22 - len(coords))
+
+
+def fraction_clear(row):
+    """Reference denominator clearing: each entry as a Fraction, times the lcm."""
+    fracs = [Fraction(x) for x in row]
+    d = lcm(*(f.denominator for f in fracs))
+    return tuple(int(f * d) for f in fracs)
 
 
 def sample_positive_primitive(rng: random.Random, lat: Lattice, lo=0, hi=None):

@@ -74,36 +74,11 @@ def test_info_unknown_exits_3(capsys, tmp_path):
     assert doc["result"]["isotropic_unknown_height"] == "4"
 
 
-def test_height_env_default(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("K3LAG_HEIGHT", "2")
-    code, doc = run_cli(
-        capsys,
-        ["info"],
-        {"lattice": {"gram": [["2", "0"], ["0", "-3"]]}},
-        tmp_path,
-    )
-    assert code == 3
-    assert doc["result"]["isotropic_unknown_height"] == "2"
-
-
 def test_height_zero_is_not_the_default(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv("K3LAG_HEIGHT", raising=False)
     code, doc = run_cli(
         capsys,
         ["info", "--height", "0"],
-        {"lattice": {"gram": [["2", "0"], ["0", "-3"]]}},
-        tmp_path,
-    )
-    assert code == 2
-    assert doc["error"]["code"] == "bad_height"
-
-
-@pytest.mark.parametrize("value", ["0", "-5"])
-def test_height_env_below_one_exits_2(capsys, tmp_path, monkeypatch, value):
-    monkeypatch.setenv("K3LAG_HEIGHT", value)
-    code, doc = run_cli(
-        capsys,
-        ["info"],
         {"lattice": {"gram": [["2", "0"], ["0", "-3"]]}},
         tmp_path,
     )

@@ -34,8 +34,11 @@ from k3lag.lattice import (
     FormalVector,
     Lattice,
     Sublattice,
+    direct_sum,
+    e8_lattice,
     from_diagonal,
     gram_row,
+    hyperbolic_plane,
     inner,
     norm,
     signature,
@@ -43,7 +46,7 @@ from k3lag.lattice import (
 from k3lag import criteria
 from k3lag import intlinalg as la
 
-from conftest import v6, v22
+from conftest import fraction_clear, v6, v22
 
 
 @pytest.fixture()
@@ -82,6 +85,37 @@ def test_lag_lattice_errors(U3):
         lag_lattice(U3, v6())
     with pytest.raises(NotPositive):
         lag_lattice(U3, v6(1, 0))  # isotropic direction
+
+
+def _fraction_gram_row_kernel(host, omega):
+    # reference: omega's Fraction Gram row, cleared, and its integer kernel
+    row = fraction_clear(gram_row(host, tuple(Fraction(c) for c in omega)))
+    return Sublattice(host, la.int_kernel([row], host.rank))
+
+
+@pytest.mark.parametrize("name", ["K3", "U+E8"])
+def test_lag_lattice_rational_matches_fraction_gram_row(name, K3):
+    host = K3 if name == "K3" else direct_sum(hyperbolic_plane(), e8_lattice())
+    rng = random.Random(1802)
+    for den in range(1, 7):
+        done = 0
+        while done < 4:
+            omega = [Fraction(0)] * host.rank
+            for i in [0, 1] + rng.sample(range(2, host.rank), rng.randint(1, 5)):
+                # omega.f1, omega.e1 >= 0 keeps most squares positive
+                lo = 0 if i < 2 else -4
+                omega[i] = Fraction(rng.randint(lo, 9), rng.randint(1, den))
+            if norm(host, omega) <= 0:
+                continue
+            assert lag_lattice(host, omega) == _fraction_gram_row_kernel(host, omega)
+            done += 1
+
+
+def test_not_positive_reports_the_exact_square(U3):
+    with pytest.raises(NotPositive, match=r"omega\^2 = -1/3 must be positive"):
+        lag_lattice(U3, v6(0, 0, 0, 0, Fraction(1, 2), Fraction(-1, 3)))
+    with pytest.raises(NotPositive, match=r"omega\^2 = -4 must be positive"):
+        lag_lattice(U3, v6(0, 0, 0, 0, 2, -1))
 
 
 # --- decompositions -------------------------------------------------------

@@ -27,12 +27,12 @@ def _gram(rows):
     return {"gram": [[str(x) for x in row] for row in rows]}
 
 
-def _decompose_payload(gamma):
+def _decompose_payload(gamma, omega=("0/1", "0/1", "0/1", "0/1", "1/1", "1/1")):
     return {
         "host": {"gram": U3_GRAM},
         "theta_re": ["1/1", "1/1", "0/1", "0/1", "0/1", "0/1"],
         "theta_im": ["0/1", "0/1", "1/1", "1/1", "0/1", "0/1"],
-        "omega": ["0/1", "0/1", "0/1", "0/1", "1/1", "1/1"],
+        "omega": list(omega),
         "gamma": [str(x) for x in gamma],
     }
 
@@ -79,6 +79,12 @@ CASES = {
     "decompose_u3": (["decompose"], _decompose_payload([1, -2, 0, 0, 0, 0])),
     "decompose_u3_minus": (
         ["decompose", "--root-choice", "-"], _decompose_payload([0, 0, 1, 0, 0, 0])),
+    "decompose_u3_rational_omega": (
+        ["decompose"],
+        _decompose_payload([1, -2, 0, 0, 0, 0], ("0", "0", "0", "0", "1/2", "1/3"))),
+    "decompose_u3_not_positive": (
+        ["decompose"],
+        _decompose_payload([1, -2, 0, 0, 0, 0], ("0", "0", "0", "0", "1/2", "-1/3"))),
     "decompose_formal_omega": (["decompose"], _formal_omega_payload),
     "decompose_u_e8_e8": (["decompose"], _u_e8_e8_payload()),
     "roots_e8": (["roots", "--lattice", "E8"], None),
@@ -125,6 +131,14 @@ GOLDEN = {
         '4df7ea16d73a14fa3370e51757025554aa63fc8271246ae260851366b703ccf8'),
     'decompose_u3': (
         '63ac198e746c3eca24ac9bf7a2ef7fd2474a198380c20441b00eba05f3ce7d52',
+        '4df7ea16d73a14fa3370e51757025554aa63fc8271246ae260851366b703ccf8'),
+    # recorded before lag_lattice cleared omega's denominators into one
+    # integer vector
+    'decompose_u3_not_positive': (
+        '4e05e4eca4b5258e2eb1c5f65ebc096ab3453612c164feefb6785d6d6e518201',
+        'c3c35c2d04c5a2ca0240bd6762c61dc5349b5ecd5d36d2a534e44088b9d65393'),
+    'decompose_u3_rational_omega': (
+        '7c8edf9de2933e1efb781c69d18ac6528f1505ea5195d05f376b34804701be50',
         '4df7ea16d73a14fa3370e51757025554aa63fc8271246ae260851366b703ccf8'),
     'decompose_u3_minus': (
         '7e4069c844f1b5415a7a2d95f835b9337b5379215b31f920a829f567f308cc25',

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from k3lag import intlinalg as la
+from k3lag.criteria import lag_lattice
 from k3lag.errors import (
     FormalOmegaUnsupported,
     InvalidPeriod,
@@ -16,9 +18,9 @@ from k3lag.hodge import (
     rotated_picard,
     validate_period,
 )
-from k3lag.lattice import FormalVector, Sublattice
+from k3lag.lattice import FormalVector, Sublattice, gram_row, inner, norm
 
-from conftest import v6
+from conftest import fraction_clear, v6
 
 
 @pytest.fixture()
@@ -178,3 +180,54 @@ def test_scale_invariance(toy, U3):
         assert ph.zeta_squared == base_phase.zeta_squared
         assert rotated_picard(scaled, gamma) == base_picard
         assert kahler_sign(scaled, gamma, v6(2, 1, 0, 1), 1) == base_sign
+
+
+def _row_formula_picard(p, gamma):
+    # reference: the Fraction Gram rows of omega and of the row formula
+    # (gamma.theta_re) theta_im - (gamma.theta_im) theta_re, each cleared,
+    # and their joint integer kernel
+    lat = p.host
+    a = Fraction(inner(lat, gamma, p.theta_re))
+    b = Fraction(inner(lat, gamma, p.theta_im))
+    g_tr, g_ti = gram_row(lat, p.theta_re), gram_row(lat, p.theta_im)
+    rows = [
+        fraction_clear(gram_row(lat, p.omega)),
+        fraction_clear([a * ti - b * tr for tr, ti in zip(g_tr, g_ti)]),
+    ]
+    return Sublattice(lat, la.int_kernel(rows, lat.rank))
+
+
+@pytest.mark.parametrize("host_name", ["U3", "K3"])
+def test_rotated_picard_matches_row_formula(host_name, U3, K3):
+    # theta = (p e1 + q f1) + i (r e2 + (pq/r) f2), omega = u e3 + v f3 (+ an
+    # E8 part on K3), with rational p, q, r, u, v: theta.theta = 0 and
+    # omega is orthogonal to theta by construction
+    host = U3 if host_name == "U3" else K3
+    rng = random.Random(1803)
+
+    def q():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 6))
+
+    checked = 0
+    while checked < 30:
+        p_, q_, r_ = q(), q(), q() * rng.choice((1, -1))
+        theta_re = [Fraction(0)] * host.rank
+        theta_im = [Fraction(0)] * host.rank
+        theta_re[0], theta_re[1] = p_, q_
+        theta_im[2], theta_im[3] = r_, p_ * q_ / r_
+        omega = [Fraction(0)] * host.rank
+        omega[4], omega[5] = q(), q()
+        for i in rng.sample(range(6, host.rank), min(2, host.rank - 6)):
+            omega[i] = Fraction(rng.randint(-2, 2), rng.randint(1, 6))
+        if norm(host, omega) <= 0:
+            continue
+        period = PeriodData(host, theta_re, theta_im, omega)
+        sub = lag_lattice(host, omega)
+        gamma = sub.to_host([rng.randint(-2, 2) for _ in range(sub.rank)])
+        try:
+            got = rotated_picard(period, gamma)
+        except TypeOneOne:
+            continue
+        assert got == _row_formula_picard(period, gamma)
+        assert got.contains(gamma)
+        checked += 1

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from k3lag import intlinalg as la
 from k3lag.enumeration import find_positive
+from k3lag.exact import rational_direction
 from k3lag.lattice import Lattice, k3_lattice, norm, signature
 
+from conftest import fraction_clear
 from test_enumeration import _frac_inverse
 
 
@@ -609,3 +611,33 @@ def test_find_positive_fallback_lattices(gram, expected):
     lat = Lattice(gram)
     assert find_positive(lat) == expected
     assert norm(lat, expected) > 0
+
+
+def test_integral_row_and_rational_direction_match_fraction_reference(monkeypatch):
+    rng = random.Random(1801)
+    cases = [(), (0, 0, 0), (Fraction(0), Fraction(0, 5)), (3, -6, 9),
+             (Fraction(-4, 6), 2, Fraction(5, 3)), (0.5, Fraction(1, 3), -2)]
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        cases.append(tuple(rng.randint(-9, 9) for _ in range(n)))
+        cases.append(tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)))
+    for row in cases:
+        ref = fraction_clear(row)
+        got = la.integral_row(row)
+        assert got == ref and all(type(x) is int for x in got)
+        g = 0
+        for x in ref:
+            g = gcd(g, x)
+        assert rational_direction(row) == (tuple(x // g for x in ref) if g else ref)
+
+    # ints and Fractions are cleared without making a Fraction
+    class Made(Exception):
+        pass
+
+    def refuse(x):
+        raise Made(x)
+
+    monkeypatch.setattr(la, "Fraction", refuse)
+    assert la.integral_row((Fraction(1, 2), 3, Fraction(-2, 3))) == (3, 18, -4)
+    with pytest.raises(Made):
+        la.integral_row((0.5, 1))

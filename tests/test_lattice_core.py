@@ -266,3 +266,20 @@ def test_as_lattice_equals_full_product(seed, K3):
     sub = Sublattice.from_generators(K3, rows)
     full = tuple(tuple(inner(K3, a, b) for b in sub.basis) for a in sub.basis)
     assert sub.as_lattice() == Lattice(full)
+
+
+def test_inner_formal_plain_both_orders(U3):
+    # f = (e1 + 2 f2) + 1/3 (t1 e3 + t4 (f1 - e2)), y = 2 e1 + f1 - 3 f2 + e3 + f3:
+    # (e1 + 2 f2).y = 1, e3.y = 1, (f1 - e2).y = 2 + 3
+    fv = FormalVector(
+        v6(1, 0, 0, 2), Fraction(1, 3), ((1, v6(0, 0, 0, 0, 1)), (4, v6(0, 1, -1)))
+    )
+    y = v6(2, 1, 0, -3, 1, 1)
+    expected = MarkerPoly({(): 1, ((1, 1),): Fraction(1, 3), ((4, 1),): Fraction(5, 3)})
+    assert inner(U3, fv, y) == expected
+    assert inner(U3, y, fv) == expected
+    # a plain vector of the wrong length is refused in either order
+    with pytest.raises(RankMismatch):
+        inner(U3, fv, (1, 0))
+    with pytest.raises(RankMismatch):
+        inner(U3, (1, 0), fv)
