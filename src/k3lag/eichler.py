@@ -86,31 +86,34 @@ def require_two_hyperbolic_blocks(lat: Lattice) -> None:
 class _Walker:
     """Mutable state for the canonical-form walk.
 
-    Tracks the moving vector, its pairing row and the accumulated isometry;
-    transvections are applied as rank-2 row updates, so composing a move
-    costs O(n^2) rather than a full matrix product.
+    Tracks the moving vector w and the accumulated isometry; transvections
+    are applied as rank-2 row updates, so composing a move costs O(n^2)
+    rather than a full matrix product. The walk reads only w's pairings
+    with e1, f1, e2, f2, which the U blocks give as entries of w (pair).
     """
 
     def __init__(self, lat: Lattice, w: IntVec):
         self.lat = lat
         self.n = lat.rank
         self.cur = tuple(w)
-        self.prow = gram_row(lat, self.cur)
         self.g: List[List[int]] = [list(r) for r in la.identity(self.n)]
+
+    def pair(self, k: int) -> int:
+        """w.e_k for k < 4: the U blocks pair e_k with e_{k^1} only."""
+        return self.cur[k ^ 1]
 
     def transvect(self, u: IntVec, a: IntVec) -> None:
         """w <- E(u, a) w and g <- E(u, a) g."""
         lat = self.lat
-        half = norm(lat, a) // 2
         ga = gram_row(lat, a)
         gu = gram_row(lat, u)
-        xa = la.dot(self.prow, a)
-        xu = la.dot(self.prow, u)
+        half = la.dot(ga, a) // 2
+        xa = la.dot(ga, self.cur)
+        xu = la.dot(gu, self.cur)
         self.cur = tuple(
             c + xa * u[i] - xu * a[i] - half * xu * u[i]
             for i, c in enumerate(self.cur)
         )
-        self.prow = gram_row(lat, self.cur)
         # g <- E*g via the rank-2 structure of E
         rag = la.vecmat(ga, self.g)
         rug = la.vecmat(gu, self.g)
@@ -133,13 +136,11 @@ class _Walker:
 
     def negate_u1(self) -> None:
         self.cur = (-self.cur[0], -self.cur[1]) + self.cur[2:]
-        self.prow = (-self.prow[0], -self.prow[1]) + self.prow[2:]
         self.g[0] = [-x for x in self.g[0]]
         self.g[1] = [-x for x in self.g[1]]
 
     def swap_u1(self) -> None:
         self.cur = (self.cur[1], self.cur[0]) + self.cur[2:]
-        self.prow = (self.prow[1], self.prow[0]) + self.prow[2:]
         self.g[0], self.g[1] = self.g[1], self.g[0]
 
 
@@ -151,10 +152,10 @@ def _trunc_div(a: int, b: int) -> int:
 def _euclid(st: _Walker, i: int, j: int) -> None:
     """Drive w.e_j to 0, leaving w.e_i = +-gcd, by bump(i, j) / bump(j, i) moves."""
     while True:
-        x = st.prow[j]
+        x = st.pair(j)
         if x == 0:
             return
-        q = st.prow[i]
+        q = st.pair(i)
         if q == 0:
             st.bump(i, j, 1)
             st.bump(j, i, -1)
@@ -193,20 +194,20 @@ def canonical_form(lat: Lattice, w) -> CanonicalFormResult:
         # a pass that leaves the second block dirty must have strictly shrunk
         # |w.e1| (only w.e1-reductions re-pollute), so this terminates
         while True:
-            before = abs(st.prow[0])
+            before = abs(st.pair(0))
             _euclid(st, 0, 2)
             _euclid(st, 0, 3)
-            if st.prow[2] == 0 and st.prow[3] == 0:
+            if st.pair(2) == 0 and st.pair(3) == 0:
                 return
-            if before != 0 and abs(st.prow[0]) >= before:
+            if before != 0 and abs(st.pair(0)) >= before:
                 raise ImpossibleState("second hyperbolic block failed to clear")
 
     # each full pass folds another pairing into gcd position; a stalled pass
     # would force w.e1 to divide every pairing, contradicting primitivity
-    while abs(st.prow[0]) != 1:
-        start = abs(st.prow[0])
+    while abs(st.pair(0)) != 1:
+        start = abs(st.pair(0))
         zero_u2()
-        if abs(st.prow[0]) == 1:
+        if abs(st.pair(0)) == 1:
             break
         z = st.cur[4:]
         if any(z):
@@ -215,18 +216,18 @@ def canonical_form(lat: Lattice, w) -> CanonicalFormResult:
             st.transvect(lat.basis_vector(3), _rest_gcd_vector(lat, z))
             _euclid(st, 0, 2)
             zero_u2()
-            if abs(st.prow[0]) == 1:
+            if abs(st.pair(0)) == 1:
                 break
-        if st.prow[1] != 0:
+        if st.pair(1) != 0:
             st.bump(2, 1, 1)  # w.e2 += w.f1; safe since w.f2 = 0
             _euclid(st, 0, 2)
             zero_u2()
-        if abs(st.prow[0]) == start:
+        if abs(st.pair(0)) == start:
             raise ImpossibleState("no progress: input cannot be primitive")
 
-    if st.prow[0] == -1:
+    if st.pair(0) == -1:
         st.negate_u1()
-    if st.prow[0] != 1:
+    if st.pair(0) != 1:
         raise ImpossibleState("unit pairing lost before endgame")
     rest_component = (0, 0) + st.cur[2:]
     if any(rest_component):

@@ -241,7 +241,7 @@ def find_isotropic(lat: Lattice, height: int = 10):
             return lat.basis_vector(i)
     for s in range(1, height + 1):
         for x in product(range(-s, s + 1), repeat=lat.rank):
-            if max(abs(c) for c in x) != s:
+            if s not in x and -s not in x:
                 continue
             if norm(lat, x) == 0:
                 return sign_normalized(primitivize(x))
@@ -256,12 +256,13 @@ class _Slice:
     (d the content of w's pairing row) and, per host column, the nonzero
     entries of M. Level a = k d is one shell: delta = x_a + c M, x_a = k s,
     has square -2 iff P(c - u) = x_a.x_a + 2 + t.u, t = (x_a.M_i) = k t_s,
-    u = P^-1 t; P^-1 is cleared once to an integer den P^-1, so each level's
-    centre and value are integers over den. coords(a) yields the c in order
-    and host(x_a, c) builds one root, so a caller testing delta.y = x_a.y +
-    c.(M y) builds only the roots it keeps. HNF pivots are positive and
-    echelon, so host order is lexicographic order of c over the HNF rows;
-    reversed, c_0 is the engine's outermost level and levels come out sorted.
+    u = P^-1 t; la.frac_inverse gives P^-1 as an integer matrix over its
+    least denominator den, so each level's centre and value are integers
+    over den. coords(a) yields the c in order and host(x_a, c) builds one
+    root, so a caller testing delta.y = x_a.y + c.(M y) builds only the
+    roots it keeps. HNF pivots are positive and echelon, so host order is
+    lexicographic order of c over the HNF rows; reversed, c_0 is the
+    engine's outermost level and levels come out sorted.
     """
 
     def __init__(self, lat: Lattice, w: IntVec):
@@ -271,15 +272,13 @@ class _Slice:
         self.rows = rows = comp.basis[::-1]
         self.pd = tuple(tuple(-g for g in row[::-1]) for row in comp_lat.gram[::-1])
         self.dec = la.symmetric_diagonalize(self.pd)
-        pinv = la.frac_inverse(self.pd) if rows else ()
-        self.den = den = lcm(*(x.denominator for row in pinv for x in row))
-        adj = [[x.numerator * (den // x.denominator) for x in row] for row in pinv]
+        self.den, adj = la.frac_inverse(self.pd) if rows else (1, ())
         gw = gram_row(lat, w)
         self.d, self.sol = la.gcd_combination(gw)  # d >= 1: w.w > 0, so gw != 0
         gs = gram_row(lat, self.sol)
         ts = la.matvec(rows, gs)
         self.us = la.matvec(adj, ts)  # den u and den (x_a.x_a + t.u) at level d
-        self.r1 = la.dot(gs, self.sol) * den + la.dot(ts, self.us)
+        self.r1 = la.dot(gs, self.sol) * self.den + la.dot(ts, self.us)
         self.cols = [[(i, r[j]) for i, r in enumerate(rows) if r[j]] for j in range(len(w))]
 
     def anchor(self, a: int) -> IntVec:

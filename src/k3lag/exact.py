@@ -25,16 +25,6 @@ class GaussianRational:
     re: Fraction
     im: Fraction
 
-    @classmethod
-    def of(cls, re: Rational, im: Rational = 0) -> "GaussianRational":
-        return cls(Fraction(re), Fraction(im))
-
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
     def __mul__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(
             self.re * other.re - self.im * other.im,
@@ -76,10 +66,6 @@ class MarkerPoly:
         self.coeffs = cleaned
 
     @classmethod
-    def constant(cls, value: Rational) -> "MarkerPoly":
-        return cls({(): Fraction(value)})
-
-    @classmethod
     def term(cls, value: Rational, markers: Iterable[int]) -> "MarkerPoly":
         counts: dict[int, int] = {}
         for m in markers:
@@ -92,15 +78,6 @@ class MarkerPoly:
         for mono, c in other.coeffs.items():
             out[mono] = out.get(mono, Fraction(0)) + c
         return MarkerPoly(out)
-
-    def __neg__(self) -> "MarkerPoly":
-        return MarkerPoly({m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other: "MarkerPoly") -> "MarkerPoly":
-        return self + (-other)
-
-    def scaled(self, factor: Rational) -> "MarkerPoly":
-        return MarkerPoly({m: c * factor for m, c in self.coeffs.items()})
 
     def is_zero(self) -> bool:
         return not self.coeffs

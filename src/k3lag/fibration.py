@@ -21,7 +21,7 @@ from .errors import (
 )
 from .exact import rational_direction
 from .intlinalg import dot, int_vector, matvec
-from .lattice import Isometry, Lattice, gram_row, inner, norm
+from .lattice import Isometry, Lattice, gram_row, norm
 
 IntVec = Tuple[int, ...]
 
@@ -90,9 +90,10 @@ def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
     w2 = norm(lat, ov)
     if w2 <= 0:
         raise NotPositive(f"omega^2 = {w2} must be positive")
-    if norm(lat, lv) != 0:
-        raise NotIsotropic(f"ell^2 = {norm(lat, lv)} must be 0")
-    pairing = inner(lat, lv, ov)
+    row = gram_row(lat, lv)  # the class's pairings: delta.cur = row.x_a + c.tm
+    if dot(row, lv) != 0:
+        raise NotIsotropic(f"ell^2 = {dot(row, lv)} must be 0")
+    pairing = dot(row, ov)
     if pairing <= 0:
         raise WrongSide(f"ell.omega = {pairing} must be positive")
     sl = _Slice(lat, ov)
@@ -102,7 +103,6 @@ def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
     levels = {}  # a -> (x_a, the c seen, in order, and the rest of the level)
     while True:
         delta = None
-        row = gram_row(lat, cur)  # cur's pairings: delta.cur = row.x_a + c.tm
         tm = matvec(sl.rows, row)
         for a in range(sl.d, trace[-1], sl.d):
             xa, seen, rest = levels.setdefault(a, (sl.anchor(a), [], sl.coords(a)))
@@ -121,9 +121,10 @@ def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
             break
         coupling = dot(row, delta)
         cur = tuple(c + coupling * d for c, d in zip(cur, delta))
-        if norm(lat, cur) != 0:
+        row = gram_row(lat, cur)
+        if dot(row, cur) != 0:
             raise ImpossibleState("reflection broke isotropy")
-        now = inner(lat, cur, ov)
+        now = dot(row, ov)
         if not 0 < now < trace[-1]:
             raise ImpossibleState("pairing trace failed to decrease")
         used.append(delta)

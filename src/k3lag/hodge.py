@@ -68,7 +68,12 @@ class RotationPhase:
 
 def validate_period(p: PeriodData) -> Tuple[str, ...]:
     """Check every period identity exactly and return the ones checked;
-    raise InvalidPeriod on the first violated one."""
+    raise InvalidPeriod on the first violated one.
+
+    Every identity is homogeneous, so theta_re and theta_im are cleared to
+    integers over one shared denominator (their squares are compared) and
+    a rational omega over its own.
+    """
     checked = []
     lat = p.host
 
@@ -77,13 +82,14 @@ def validate_period(p: PeriodData) -> Tuple[str, ...]:
             raise InvalidPeriod(name)
         checked.append(name)
 
-    tr, ti = p.theta_re, p.theta_im
+    theta = la.integral_row(p.theta_re + p.theta_im)
+    tr, ti = theta[: lat.rank], theta[lat.rank :]
     check("theta_re.theta_im = 0", inner(lat, tr, ti) == 0)
     check("theta_re^2 = theta_im^2", norm(lat, tr) == norm(lat, ti))
     check("theta.conj(theta) > 0", norm(lat, tr) + norm(lat, ti) > 0)
     if p.omega_is_rational:
-        om = p.omega
-        check("omega != 0", any(c != 0 for c in om))
+        om = la.integral_row(p.omega)
+        check("omega != 0", any(om))
         check("omega.theta_re = 0", inner(lat, om, tr) == 0)
         check("omega.theta_im = 0", inner(lat, om, ti) == 0)
         check("omega^2 > 0", norm(lat, om) > 0)

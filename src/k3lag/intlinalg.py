@@ -10,8 +10,9 @@ and fraction-free Bareiss steps (determinant, the congruence diagonalization
 behind signatures and Fincke-Pohst, the Gauss-Jordan inverse). Only
 kernels build the echelon's whole transform; a solve replays its logged
 row operations on one vector, so a logged elimination serves every later
-solve over the same rows. Fraction is left only at frac_inverse's result;
-integral_row clears denominators without making one. Integer arguments
+solve over the same rows. An inverse is an integer matrix over one least
+denominator (frac_inverse), and integral_row clears denominators without
+making a Fraction; Fraction stays only for float entries. Integer arguments
 are checked, never truncated: int_vector and freeze accept integral
 values only. A Gram row of a mostly-zero integer vector (vecmat) sums
 only the rows of its nonzero entries; other vectors take column sums.
@@ -53,7 +54,7 @@ def freeze(rows: Sequence[Sequence[int]]) -> IntMatrix:
 
 
 def identity(n: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+    return tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n))
 
 
 def transpose(m: Sequence[Sequence]) -> tuple:
@@ -322,13 +323,14 @@ def integral_row(row: Sequence) -> Tuple[int, ...]:
     return tuple(x.numerator * (d // x.denominator) for x in row)
 
 
-def frac_inverse(m: Sequence[Sequence[int]]) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Exact inverse of an integer matrix; raises ZeroDivisionError if singular.
+def frac_inverse(m: Sequence[Sequence[int]]) -> Tuple[int, IntMatrix]:
+    """(d, A) with m^-1 = A / d over Z, d >= 1 least; ZeroDivisionError if singular.
 
     Fraction-free Gauss-Jordan on [m | I] over Z: every row i != k becomes
     (p row_i - a_ik row_k) / prev at pivot p, an exact division (Bareiss),
-    so the left block ends as det * I (up to the sign of the row swaps) and
-    the right block as det * m^-1. Fractions are formed only for the result.
+    so the left block ends as prev * I with prev = +-det m and the right
+    block as prev * m^-1. Dividing out g = gcd(prev, right block) leaves
+    d = |prev| / g, the lcm of the denominators of m^-1 in lowest terms.
     """
     n = len(m)
     a = [list(map(int, row)) + list(e) for row, e in zip(m, identity(n))]
@@ -344,18 +346,17 @@ def frac_inverse(m: Sequence[Sequence[int]]) -> Tuple[Tuple[Fraction, ...], ...]
             if i != k:
                 a[i] = [(p * x - c * y) // prev for x, y in zip(a[i], rk)]
         prev = p
-    return tuple(tuple(Fraction(x, prev) for x in row[n:]) for row in a)
+    d = abs(prev) // gcd(prev, *(x for row in a for x in row[n:]))
+    q = prev // d  # +-g, so A = right block / q
+    return d, tuple(tuple(x // q for x in row[n:]) for row in a)
 
 
 def int_inverse(m: Sequence[Sequence[int]]) -> IntMatrix:
     """Inverse of a unimodular integer matrix, returned over Z."""
-    inv = frac_inverse(m)
-    out = []
-    for row in inv:
-        if any(x.denominator != 1 for x in row):
-            raise ValueError("matrix is not unimodular")
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+    d, inv = frac_inverse(m)
+    if d != 1:
+        raise ValueError("matrix is not unimodular")
+    return inv
 
 
 def symmetric_diagonalize(

@@ -237,11 +237,6 @@ class Isometry:
         """self after other (matrix product self.matrix @ other.matrix)."""
         return Isometry(la.matmul(self.matrix, other.matrix))
 
-    def inverse(self, lat: Lattice) -> "Isometry":
-        """g^{-1} = G^{-1} g^T G; exact for unimodular hosts."""
-        ginv = _gram_inverse(lat)
-        return Isometry(la.matmul(la.matmul(ginv, la.transpose(self.matrix)), lat.gram))
-
     def preserves(self, lat: Lattice) -> bool:
         gt = la.transpose(self.matrix)
         ok = la.matmul(la.matmul(gt, lat.gram), self.matrix) == lat.gram

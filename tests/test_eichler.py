@@ -153,15 +153,17 @@ def test_bump_is_one_transvection(K3):
                 st = _Walker(K3, w)
                 for _ in range(3):
                     st.bump(*rng.choice(moves), rng.choice((-2, -1, 1, 2)))
-                g0, cur, prow = Isometry(st.g), st.cur, st.prow
+                g0, cur, prow = Isometry(st.g), st.cur, gram_row(K3, st.cur)
                 st.bump(i, j, m)
                 a = tuple(m * c for c in K3.basis_vector(j))
                 e = transvection(K3, K3.basis_vector(i ^ 1), a)
                 g = Isometry(st.g)
                 assert g == e.compose(g0), (w, i, j, m)
                 assert g.preserves(K3)
-                assert st.cur == g.apply(w) and st.prow == gram_row(K3, st.cur)
-                dp = {k: y - x for k, (x, y) in enumerate(zip(prow, st.prow)) if y != x}
+                assert st.cur == g.apply(w)
+                now = gram_row(K3, st.cur)
+                assert [st.pair(k) for k in range(4)] == list(now[:4]), (w, i, j, m)
+                dp = {k: y - x for k, (x, y) in enumerate(zip(prow, now)) if y != x}
                 want = {i: m * prow[j], j ^ 1: -m * prow[i ^ 1]}
                 assert dp == {k: v for k, v in want.items() if v}, (w, i, j, m)
                 assert {k for k, (x, y) in enumerate(zip(cur, st.cur)) if y != x} <= {i ^ 1, j}

@@ -367,6 +367,23 @@ def test_slice_coords_build_its_levels():
     assert empty == 6 and found > 3000
 
 
+def test_slice_centres_match_the_fraction_cleared_reference():
+    # den, us and r1 from la.frac_inverse's (d, A) equal the values of P^-1
+    # taken as Fractions and cleared to their lcm denominator
+    u_e8 = direct_sum(hyperbolic_plane(), e8_lattice())
+    for w in ((3, 1) + (0,) * 8, (2, 2) + (0,) * 8):
+        sl = _Slice(u_e8, w)
+        pinv = _frac_inverse(sl.pd)
+        den = lcm(*(x.denominator for row in pinv for x in row))
+        adj = [[int(den * x) for x in row] for row in pinv]
+        gs = la.vecmat(sl.sol, u_e8.gram)
+        ts = la.matvec(sl.rows, gs)
+        us = la.matvec(adj, ts)
+        assert (sl.den, sl.us) == (den, us), w
+        assert sl.r1 == la.dot(gs, sl.sol) * den + la.dot(ts, us), w
+        assert all(type(x) is int for x in (sl.den, sl.r1, *sl.us))
+
+
 # --- the integer-scaled ellipsoid engine ---------------------------------
 
 

@@ -70,6 +70,20 @@ def test_validate_unequal_norms(U3):
     assert exc.value.reason == "theta_re^2 = theta_im^2"
 
 
+def test_validate_mixed_denominators(U3, toy):
+    # theta_re^2 = 1/2 against theta_im^2 = 2; clearing each on its own
+    # would compare e1+f1 with e2+f2 and pass
+    half = Fraction(1, 2)
+    p = PeriodData(U3, v6(half, half), v6(0, 0, 1, 1), v6(0, 0, 0, 0, 1, 1))
+    with pytest.raises(InvalidPeriod) as exc:
+        validate_period(p)
+    assert exc.value.reason == "theta_re^2 = theta_im^2"
+    third = Fraction(1, 3)
+    p = PeriodData(U3, v6(half, half), v6(0, 0, half, half), v6(0, 0, 0, 0, third, third))
+    assert validate_period(p) == validate_period(toy)
+    assert len(validate_period(p)) == 7
+
+
 def test_phase_square_fixtures(toy):
     ph = phase_square(toy, v6(1, 0))
     assert (ph.c.re, ph.c.im) == (1, 0)

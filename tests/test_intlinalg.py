@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -348,13 +348,28 @@ def test_int_vector_checks_instead_of_truncating():
         la.freeze([[1, Fraction(1, 2)]])
 
 
+def _cleared_reference(m):
+    """(lcm of the denominators, that lcm times m^-1) from rational Gauss-Jordan."""
+    ref = _frac_inverse(m)
+    d = lcm(*(x.denominator for row in ref for x in row))
+    return d, tuple(tuple(d * x for x in row) for row in ref)
+
+
 def test_frac_inverse_and_integral_row():
-    inv = la.frac_inverse(((2, 1), (1, 1)))
-    assert inv == ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(2)))
+    assert la.frac_inverse(((2, 1), (1, 1))) == (1, ((1, -1), (-1, 2)))
+    for m in (((2, 0), (0, 3)), ((0, 2), (3, 0)), ((4, 2), (2, 4))):
+        d, inv = la.frac_inverse(m)
+        assert (d, inv) == _cleared_reference(m), m
+        assert all(type(x) is int for row in inv for x in row)
+    assert la.frac_inverse(((0, 2), (3, 0))) == (6, ((0, 2), (3, 0)))
+    # d is the least denominator, here below |det| = 12
+    assert la.frac_inverse(((4, 2), (2, 4))) == (6, ((2, -1), (-1, 2)))
+    assert la.frac_inverse(()) == (1, ())
     assert la.integral_row((Fraction(1, 2), Fraction(2, 3), Fraction(0))) == (3, 4, 0)
 
 
 def test_frac_inverse_against_rational_gauss_jordan():
+    # (d, A): d the least common denominator of m^-1, A = d m^-1, all ints
     rng = random.Random(311)
     checked = swapped = 0
     while checked < 120:
@@ -364,7 +379,9 @@ def test_frac_inverse_against_rational_gauss_jordan():
             m[0][0] = 0  # the first pivot needs a row swap
         if la.det(m) == 0:
             continue
-        assert la.frac_inverse(m) == tuple(map(tuple, _frac_inverse(m))), m
+        d, inv = la.frac_inverse(m)
+        assert (d, inv) == _cleared_reference(m), m
+        assert all(type(x) is int for row in inv for x in row), m
         checked += 1
         swapped += m[0][0] == 0
     assert swapped >= 30
