@@ -116,7 +116,7 @@ def lag_lattice(host: Lattice, omega) -> Sublattice:
         rows = [la.integral_row(gram_row(host, omega.base))]
         rows += [la.integral_row(gram_row(host, y)) for _, y in omega.terms]
         rows = [r for r in rows if any(r)]
-        return Sublattice(host, la.int_kernel(rows, host.rank))
+        return Sublattice._from_hnf(host, la.int_kernel(rows, host.rank))
     om = la.integral_row(omega)
     if len(om) != host.rank:
         raise RankMismatch("omega rank differs from host rank")
@@ -206,7 +206,7 @@ def split_radical(lat: Lattice) -> Tuple[Sublattice, Lattice, la.IntMatrix]:
         _, u = la.hnf_with_transform(la.transpose(rad.basis), r)
         w = la.transpose(la.int_inverse(u))
         comp_rows = la.hnf(w[r:], n)
-    comp = Sublattice(lat, comp_rows)
+    comp = Sublattice._from_hnf(lat, comp_rows)
     stacked = tuple(rad.basis) + tuple(comp.basis)
     if len(stacked) != n or abs(la.det(stacked)) != 1:
         raise ImpossibleState("radical complement is not index one")

@@ -4,12 +4,12 @@ Hosts must carry the block shape U + U + R with R even unimodular (the K3
 lattice in its fixed coordinate order qualifies). A primitive vector w with
 w.w = 2d >= 0 is carried onto e1 + d*f1 by an explicit composition of
 transvections and U-block isometries; the isometry is returned and can be
-re-verified exactly. The Eichler formula is written once, as the walker's
-rank-2 update, which the public transvection applies to the identity. With
-e1, f1, e2, f2 as coordinates 0..3, every Euclid step of the walk is one
-move rule, bump(i, j, m) = E(e_{i^1}, m e_j): it adds m (w.e_j) to w.e_i.
-Orthogonal positive/isotropic witnesses are pulled back from the second
-hyperbolic block.
+re-verified exactly. The Eichler formula is the walker's rank-2 update,
+which the public transvection applies to the identity. With e1, f1, e2, f2
+as coordinates 0..3, every Euclid step of the walk is one move rule,
+bump(i, j, m) = E(e_{i^1}, m e_j), the formula's O(n) case on the U blocks:
+it adds m (w.e_j) to w.e_i. Orthogonal positive/isotropic witnesses are
+pulled back from the second hyperbolic block.
 """
 from __future__ import annotations
 
@@ -86,10 +86,11 @@ def require_two_hyperbolic_blocks(lat: Lattice) -> None:
 class _Walker:
     """Mutable state for the canonical-form walk.
 
-    Tracks the moving vector w and the accumulated isometry; transvections
-    are applied as rank-2 row updates, so composing a move costs O(n^2)
-    rather than a full matrix product. The walk reads only w's pairings
-    with e1, f1, e2, f2, which the U blocks give as entries of w (pair).
+    Tracks the moving vector w and the accumulated isometry g. A general
+    transvection (rest-block moves, endgame) is a rank-2 row update of g,
+    O(n^2); a bump stays in the U blocks and changes two entries of w and
+    two rows of g, O(n). The walk reads only w's pairings with e1, f1, e2,
+    f2, which the U blocks give as entries of w (pair).
     """
 
     def __init__(self, lat: Lattice, w: IntVec):
@@ -129,10 +130,15 @@ class _Walker:
         """The walk's move E(e_{i^1}, m e_j): it adds m (w.e_j) to w.e_i.
 
         i and j index e1, f1, e2, f2 (0..3) with j != i; e_{i^1} is the
-        isotropic partner of e_i, so w.e_i is the pairing that moves.
+        isotropic partner of e_i, so w.e_i is the pairing that moves. On the
+        U blocks it is x -> x + m x_{j^1} e_{i^1} - m x_i e_j, in O(n).
         """
-        a = tuple(m if k == j else 0 for k in range(self.n))
-        self.transvect(self.lat.basis_vector(i ^ 1), a)
+        c, g = list(self.cur), self.g
+        c[i ^ 1] += m * c[j ^ 1]
+        c[j] -= m * c[i]
+        self.cur = tuple(c)
+        g[i ^ 1] = [x + m * y for x, y in zip(g[i ^ 1], g[j ^ 1])]
+        g[j] = [x - m * y for x, y in zip(g[j], g[i])]
 
     def negate_u1(self) -> None:
         self.cur = (-self.cur[0], -self.cur[1]) + self.cur[2:]

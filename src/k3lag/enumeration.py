@@ -186,7 +186,7 @@ def roots_generate(lat: Lattice) -> RootReport:
         return RootReport((), False, None)
     h, log = [list(r) for r in roots], []
     la._echelon(h, lat.rank, log)
-    span = Sublattice(lat, tuple(tuple(r) for r in h if any(r)))
+    span = Sublattice._from_hnf(lat, tuple(tuple(r) for r in h if any(r)))
     return RootReport(roots, span.is_full(), span, tuple(log))
 
 
@@ -194,7 +194,8 @@ def find_positive(lat: Lattice) -> Optional[IntVec]:
     """Some v with v.v > 0, or None iff the signature has p = 0.
 
     Deterministic: basis vectors, then basis pairs, then the primitive
-    part of a positive row of the integer diagonalization basis.
+    part of the first positive row of the integer diagonalization basis,
+    from la.diagonal_steps stopped at that pivot (signature decides None).
     """
     p, _, _ = signature(lat)
     if p == 0:
@@ -211,9 +212,7 @@ def find_positive(lat: Lattice) -> Optional[IntVec]:
                     return tuple(
                         (1 if k == i else (s if k == j else 0)) for k in range(n)
                     )
-    diag, basis = la.symmetric_diagonalize(g)
-    k = next(i for i in range(n) if diag[i] > 0)
-    v = primitivize(basis[k])
+    v = primitivize(next(row for d, row in la.diagonal_steps(g) if d > 0))
     if norm(lat, v) <= 0:
         raise ImpossibleState("diagonalization gave a non-positive vector")
     return v

@@ -4,18 +4,18 @@ Matrices are row-major tuples of tuples. Canonical form throughout is the
 row Hermite normal form: positive pivots, entries above a pivot reduced into
 [0, pivot), zero rows dropped (or sorted to the bottom when a transform is
 requested). Ranks in this package stay small (<= 22), so the plain
-O(n^3)-with-big-ints algorithms are entirely adequate. Two eliminations
-run over Z: the xgcd echelon of the HNF (kernels, solving, Smith invariants)
-and fraction-free Bareiss steps (determinant, the congruence diagonalization
-behind signatures and Fincke-Pohst, the Gauss-Jordan inverse). Only
-kernels build the echelon's whole transform; a solve replays its logged
-row operations on one vector, so a logged elimination serves every later
-solve over the same rows. An inverse is an integer matrix over one least
-denominator (frac_inverse), and integral_row clears denominators without
-making a Fraction; Fraction stays only for float entries. Integer arguments
-are checked, never truncated: int_vector and freeze accept integral
-values only. A Gram row of a mostly-zero integer vector (vecmat) sums
-only the rows of its nonzero entries; other vectors take column sums.
+O(n^3)-with-big-ints algorithms are entirely adequate. Two eliminations run
+over Z: the xgcd echelon of the HNF (kernels, solving, Smith invariants) and
+fraction-free Bareiss steps (determinant, the congruence diagonalization
+behind signatures and Fincke-Pohst, yielded step by step, the Gauss-Jordan
+inverse). Only kernels build the echelon's whole transform; a solve replays
+its logged row operations on one vector, so a logged elimination serves
+every later solve over the same rows. An inverse is an integer matrix over
+one least denominator (frac_inverse), and integral_row clears denominators
+without making a Fraction; Fraction stays only for float entries. Integer
+arguments are checked, never truncated: int_vector and freeze accept
+integral values only. A Gram row of a mostly-zero integer vector (vecmat)
+sums only the rows of its nonzero entries; other vectors take column sums.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd, lcm
 from operator import add, index, mul
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 IntMatrix = Tuple[Tuple[int, ...], ...]
 IntVector = Tuple[int, ...]
@@ -58,9 +58,7 @@ def identity(n: int) -> IntMatrix:
 
 
 def transpose(m: Sequence[Sequence]) -> tuple:
-    if not m:
-        return ()
-    return tuple(tuple(row[j] for row in m) for j in range(len(m[0])))
+    return tuple(zip(*m))
 
 
 def matmul(a: Sequence[Sequence], b: Sequence[Sequence]) -> tuple:
@@ -359,24 +357,30 @@ def int_inverse(m: Sequence[Sequence[int]]) -> IntMatrix:
     return inv
 
 
-def symmetric_diagonalize(
-    gram: Sequence[Sequence[int]],
-) -> Tuple[Tuple[int, ...], IntMatrix]:
-    """Congruence diagonalization over Z by fraction-free elimination.
+def symmetric_diagonalize(gram: Sequence[Sequence[int]]) -> Tuple[IntVector, IntMatrix]:
+    """(diag, basis) from all of diagonal_steps(gram), drained eagerly."""
+    steps = tuple(diagonal_steps(gram))
+    return tuple(d for d, _ in steps), tuple(v for _, v in steps)
 
-    Returns (diag, basis), integer rows v_i with v_i G v_j^T = diag[i] *
-    [i == j]. Zero pivots get the moves of rational elimination (swap in a
-    later nonzero diagonal entry, else v_k += v_j, then v_k -= 2 v_j if
-    needed; skip when v_k pairs to zero with the rest), and later rows are
-    updated Bareiss-style, (d row_i - a_ik row_k) / prev, exactly. Row k is
-    |prev| times the rational row, and diag[k] = prev * d.
+
+def diagonal_steps(gram: Sequence[Sequence[int]]) -> Iterator[Tuple[int, IntVector]]:
+    """Congruence diagonalization over Z by fraction-free elimination, lazily.
+
+    Yields (diag[k], v_k) for k = 0, 1, ..., integer rows with v_i G v_j^T
+    = diag[i] * [i == j]; step k is final when it is yielded, so a caller
+    that needs only the first pivot of some sign stops there. Zero pivots
+    get the moves of rational elimination (swap in a later nonzero diagonal
+    entry, else v_k += v_j, then v_k -= 2 v_j if needed; skip when v_k
+    pairs to zero with the rest), and later rows are updated Bareiss-style,
+    (d row_i - a_ik row_k) / prev, exactly. Row k is |prev| times the
+    rational row, and diag[k] = prev * d.
     """
     n = len(gram)
     a = [list(map(int, row)) for row in gram]
     basis = [[int(i == j) for j in range(n)] for i in range(n)]
     # a row with a_ik = 0 is only rescaled by d / prev at step k; that is
     # deferred: row i holds its Bareiss row times last[i] / prev
-    last, diag, prev = [1] * n, [], 1
+    last, prev = [1] * n, 1
 
     def fresh(*rows):
         for i in rows:
@@ -410,9 +414,7 @@ def symmetric_diagonalize(
                         add_row(k, j, -2)
         fresh(k)
         d, ak, bk = a[k][k], a[k][k + 1:], basis[k]
-        diag.append(prev * d)
-        if prev < 0:
-            basis[k] = [-x for x in bk]
+        yield prev * d, tuple(bk if prev > 0 else [-x for x in bk])
         if d == 0:
             continue  # v_k pairs to zero with the remaining block
         for i in range(k + 1, n):
@@ -422,4 +424,3 @@ def symmetric_diagonalize(
                 basis[i] = [(d * x - c * y) // s for x, y in zip(basis[i], bk)]
                 last[i] = d
         prev = d
-    return tuple(diag), tuple(tuple(row) for row in basis)

@@ -2,7 +2,8 @@
 
 A lattice is a free Z-module with an integer Gram matrix, possibly
 degenerate. Sublattices are stored by their canonical row Hermite normal
-form, so equality of sublattices is literal equality of matrices. All
+form, so equality of sublattices is literal equality of matrices; a basis
+from outside is checked, one the package just put in HNF is trusted. All
 values are immutable and every operation is a pure function.
 """
 from __future__ import annotations
@@ -137,12 +138,9 @@ def inner(lat: Lattice, x, y):
 
 
 def gram_matrix(lat: Lattice, vectors: Sequence[VectorLike]) -> tuple:
-    """Symmetric matrix of the pairings v_i.v_j, from its lower triangle."""
-    rows = [gram_row(lat, v) for v in vectors]
-    lower = [[la.dot(r, v) for v in vectors[: i + 1]] for i, r in enumerate(rows)]
-    for i, row in enumerate(lower):
-        row.extend(lower[j][i] for j in range(i + 1, len(rows)))
-    return tuple(map(tuple, lower))
+    """The pairings v_i.v_j, row i as la.vecmat(v_i G, V^T): sparse v_i G, sparse path."""
+    cols = la.transpose(vectors)
+    return tuple(la.vecmat(gram_row(lat, v), cols) for v in vectors)
 
 
 def norm(lat: Lattice, x):
@@ -152,7 +150,11 @@ def norm(lat: Lattice, x):
 
 @dataclass(frozen=True)
 class Sublattice:
-    """Subgroup of a host lattice, stored as canonical row-HNF basis."""
+    """Subgroup of a host lattice, stored as canonical row-HNF basis.
+
+    A directly constructed one checks its basis; _from_hnf trusts a basis
+    the package has just put in HNF (la.hnf, la.int_kernel, an echelon).
+    """
 
     host: Lattice
     basis: la.IntMatrix
@@ -167,6 +169,13 @@ class Sublattice:
             raise ValueError("basis is not in row Hermite normal form")
 
     @classmethod
+    def _from_hnf(cls, host: Lattice, basis: la.IntMatrix) -> "Sublattice":
+        """A sublattice on a tuple of int tuples already in row HNF, unchecked."""
+        sub = object.__new__(cls)
+        vars(sub).update(host=host, basis=basis)  # frozen: no __setattr__
+        return sub
+
+    @classmethod
     def from_generators(
         cls, host: Lattice, rows: Iterable[VectorLike]
     ) -> "Sublattice":
@@ -174,7 +183,7 @@ class Sublattice:
         for r in mat:
             if len(r) != host.rank:
                 raise RankMismatch("generator length differs from host rank")
-        return cls(host, la.hnf(mat, host.rank))
+        return cls._from_hnf(host, la.hnf(mat, host.rank))
 
     @classmethod
     def zero(cls, host: Lattice) -> "Sublattice":
@@ -290,8 +299,9 @@ def direct_sum(*lattices: Lattice) -> Lattice:
     return Lattice(tuple(tuple(r) for r in gram))
 
 
+@lru_cache(maxsize=1)
 def k3_lattice() -> Lattice:
-    """U^3 + E8 + E8 in coordinate order (e1,f1,e2,f2,e3,f3,E8,E8)."""
+    """U^3 + E8 + E8 in coordinate order (e1,f1,e2,f2,e3,f3,E8,E8), built once."""
     u = hyperbolic_plane()
     e8 = e8_lattice()
     return direct_sum(u, u, u, e8, e8)
@@ -319,7 +329,7 @@ def saturate(lat: Lattice, sub: Sublattice) -> Sublattice:
         return sub
     # rowspan_Q(B) = kernel(kernel(B)) over the standard dot product
     perp = la.int_kernel(sub.basis, lat.rank)
-    return Sublattice(lat, la.int_kernel(perp, lat.rank))
+    return Sublattice._from_hnf(lat, la.int_kernel(perp, lat.rank))
 
 
 def orth_complement(lat: Lattice, sub) -> Sublattice:
@@ -334,7 +344,7 @@ def orth_complement(lat: Lattice, sub) -> Sublattice:
     else:
         rows = tuple(la.int_vector(_coerce_vector(v, lat.rank)) for v in sub)
     pairing_rows = [gram_row(lat, r) for r in rows]
-    return Sublattice(lat, la.int_kernel(pairing_rows, lat.rank))
+    return Sublattice._from_hnf(lat, la.int_kernel(pairing_rows, lat.rank))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -349,7 +359,7 @@ def signature(lat: Lattice) -> Tuple[int, int, int]:
 @lru_cache(maxsize=CACHE_SIZE)
 def radical(lat: Lattice) -> Sublattice:
     """{x : x.y = 0 for all y}: the integer kernel of the Gram matrix."""
-    return Sublattice(lat, la.int_kernel(lat.gram, lat.rank))
+    return Sublattice._from_hnf(lat, la.int_kernel(lat.gram, lat.rank))
 
 
 def sublattice_index(inner_sub: Sublattice, outer_sub: Sublattice) -> int:

@@ -169,6 +169,22 @@ def test_bump_is_one_transvection(K3):
                 assert {k for k, (x, y) in enumerate(zip(cur, st.cur)) if y != x} <= {i ^ 1, j}
 
 
+def test_bump_leaves_the_state_of_transvect(K3):
+    # bump(i, j, m) on seeded walks leaves cur and g exactly as the general
+    # rank-2 update transvect(e_{i^1}, m e_j) does, for every j != i
+    rng = random.Random(2022)
+    pairs = [(i, j) for i in range(4) for j in range(4) if j != i]
+    for _ in range(20):
+        w = sample_positive_primitive(rng, K3)
+        fast, slow = _Walker(K3, w), _Walker(K3, w)
+        for _ in range(12):
+            i, j = rng.choice(pairs)
+            m = rng.choice((-3, -2, -1, 1, 2, 3))
+            fast.bump(i, j, m)
+            slow.transvect(K3.basis_vector(i ^ 1), tuple(m * c for c in K3.basis_vector(j)))
+            assert fast.cur == slow.cur and fast.g == slow.g, (w, i, j, m)
+
+
 def test_orth_witnesses_fixtures(K3):
     v, ell = orth_witnesses(K3, v22(1, 1))
     assert v == v22(0, 0, 1, 1) and ell == v22(0, 0, 1)

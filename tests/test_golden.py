@@ -14,8 +14,10 @@ import sys
 
 import pytest
 
+from k3lag import intlinalg as la
 from k3lag.cli import main
-from k3lag.lattice import direct_sum, e8_lattice, hyperbolic_plane
+from k3lag.lattice import Sublattice, direct_sum, e8_lattice, hyperbolic_plane
+from k3lag.sampling import sample_trials
 
 U3_GRAM = [
     ["1" if j == (i ^ 1) else "0" for j in range(6)] for i in range(6)
@@ -69,6 +71,9 @@ def _k3_vector(*coords):
 CASES = {
     "sample_5_seed_42": (
         ["sample", "--count", "5", "--seed", "42", "--mode", "both"], None),
+    # the headline run; its trials reach every branch of find_positive
+    "sample_100_seed_42": (
+        ["sample", "--count", "100", "--seed", "42", "--mode", "both"], None),
     "classify_e8": (["classify", "--lattice", "E8"], None),
     "classify_minus_four": (["classify"], {"lattice": _gram([[-4]])}),
     "classify_u_minus2": (
@@ -177,6 +182,10 @@ GOLDEN = {
     'roots_u_minus2': (
         '707188fd07edfddacc5f8759ca39782c6735f1b96b0294c732d5bba34a929d12',
         'c3c35c2d04c5a2ca0240bd6762c61dc5349b5ecd5d36d2a534e44088b9d65393'),
+    # recorded before find_positive stopped at the first positive pivot
+    'sample_100_seed_42': (
+        'b66349f7e0f171b842c185d21b8efd37f257c46ef933ba599b78fb6a689a4aa7',
+        '2a39521dcab4784d9ff297bb1a581002d5a9975ad6d62bd78b1007b205a4737b'),
     'sample_5_seed_42': (
         '3177cf65a37a3a81e554fb028f058c62e556e3aae045fba95ecbfa08b7bd9149',
         '2a39521dcab4784d9ff297bb1a581002d5a9975ad6d62bd78b1007b205a4737b'),
@@ -220,6 +229,28 @@ def _hashes(name, run):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_document(name, tmp_path, capsys):
     assert _hashes(name, _runner(tmp_path, capsys)) == GOLDEN[name]
+
+
+def test_package_built_bases_are_hnf(tmp_path, capsys, monkeypatch):
+    # Sublattice._from_hnf trusts its basis; check that trust on every golden
+    # case and 50 sample trials
+    trusted = Sublattice._from_hnf.__func__
+    seen = []
+
+    def checked(cls, host, basis):
+        assert all(type(x) is int for row in basis for x in row)
+        assert all(len(row) == host.rank for row in basis)
+        assert basis == la.hnf(basis, host.rank)
+        seen.append(len(basis))
+        return trusted(cls, host, basis)
+
+    monkeypatch.setattr(Sublattice, "_from_hnf", classmethod(checked))
+    run = _runner(tmp_path, capsys)
+    for name in sorted(CASES):
+        assert _hashes(name, run) == GOLDEN[name]
+    report = sample_trials(50, 7, 3, "both")
+    assert report["positive_successes"] == report["isotropic_successes"] == 50
+    assert len(seen) > 100
 
 
 if __name__ == "__main__":

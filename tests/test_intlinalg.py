@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, lcm
 
 import pytest
@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from k3lag import intlinalg as la
+from k3lag.criteria import lag_lattice
 from k3lag.enumeration import find_positive
-from k3lag.exact import rational_direction
+from k3lag.exact import primitivize, rational_direction
 from k3lag.lattice import Lattice, k3_lattice, norm, signature
 
-from conftest import fraction_clear
+from conftest import fraction_clear, sample_positive_primitive
 from test_enumeration import _frac_inverse
 
 
@@ -628,6 +629,60 @@ def test_find_positive_fallback_lattices(gram, expected):
     lat = Lattice(gram)
     assert find_positive(lat) == expected
     assert norm(lat, expected) > 0
+
+
+def _diagonal_grams():
+    """The seeded and degenerate Grams the diagonalization is checked on."""
+    grams = [tuple((0,) * n for _ in range(n)) for n in range(9)]
+    grams += [((0, 1, 0), (1, 0, 0), (0, 0, 0)), ((0, 0, 1), (0, 0, 0), (1, 0, 0)),
+              ((0, 1), (1, 0)), ((0, 1, 0), (1, 0, 2), (0, 2, -2))]
+    grams += [g for g, _ in FALLBACK_POSITIVE]
+    for seed in range(12):
+        rng = random.Random(seed)
+        for n in range(9):
+            grams.append(_random_symmetric(rng, n))
+            grams.append(_random_symmetric(rng, n, zero_diagonal=True))
+            grams.append(_random_symmetric(rng, n, -1, 1))
+            if n:
+                grams.append(_with_radical(rng, n, rng.randint(1, n)))
+    return grams
+
+
+def test_diagonal_steps_are_the_rows_of_symmetric_diagonalize():
+    for gram in _diagonal_grams():
+        diag, basis = la.symmetric_diagonalize(gram)
+        rows = list(zip(diag, basis))
+        for k in range(len(gram) + 1):
+            # a fresh generator stopped after k steps gives the first k rows
+            assert list(islice(la.diagonal_steps(gram), k)) == rows[:k], (gram, k)
+
+
+def _find_positive_reference(lat):
+    """find_positive's rule with the whole Gram diagonalized."""
+    if signature(lat)[0] == 0:
+        return None
+    g, n = lat.gram, lat.rank
+    for i in range(n):
+        if g[i][i] > 0:
+            return lat.basis_vector(i)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for s in (1, -1):
+                if g[i][i] + g[j][j] + 2 * s * g[i][j] > 0:
+                    return tuple((1 if k == i else (s if k == j else 0)) for k in range(n))
+    diag, basis = la.symmetric_diagonalize(g)
+    return primitivize(basis[next(i for i in range(n) if diag[i] > 0)])
+
+
+def test_find_positive_matches_the_full_diagonalization():
+    k3 = k3_lattice()
+    rng = random.Random(2020)
+    lattices = [Lattice(g) for g, _ in FALLBACK_POSITIVE]
+    for _ in range(200):
+        w = sample_positive_primitive(rng, k3)
+        lattices.append(lag_lattice(k3, w).as_lattice())
+    for lat in lattices:
+        assert find_positive(lat) == _find_positive_reference(lat), lat.gram
 
 
 def test_integral_row_and_rational_direction_match_fraction_reference(monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3lag import intlinalg as la
 from k3lag.errors import RankMismatch
 from k3lag.exact import MarkerPoly
 from k3lag.lattice import (
@@ -15,6 +16,8 @@ from k3lag.lattice import (
     direct_sum,
     e8_lattice,
     from_diagonal,
+    gram_matrix,
+    gram_row,
     hyperbolic_plane,
     inner,
     k3_lattice,
@@ -266,6 +269,32 @@ def test_as_lattice_equals_full_product(seed, K3):
     sub = Sublattice.from_generators(K3, rows)
     full = tuple(tuple(inner(K3, a, b) for b in sub.basis) for a in sub.basis)
     assert sub.as_lattice() == Lattice(full)
+
+
+def _gram_matrix_reference(lat, vectors):
+    """The lower triangle of dot(v_i G, v_j), mirrored."""
+    k = len(vectors)
+    lower = [[la.dot(gram_row(lat, vectors[i]), vectors[j]) for j in range(i + 1)] for i in range(k)]
+    return tuple(tuple(lower[max(i, j)][min(i, j)] for j in range(k)) for i in range(k))
+
+
+def test_gram_matrix_matches_the_lower_triangle_reference(K3):
+    rng = random.Random(2021)
+    sparse = lambda: [rng.choice([0, 0, 0, 0, 1, -1, 2]) for _ in range(K3.rank)]
+    dense = lambda: [rng.randint(-9, 9) for _ in range(K3.rank)]
+    frac = lambda: [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(K3.rank)]
+    for make in (sparse, dense, frac):
+        for k in range(9):
+            vectors = [make() for _ in range(k)]
+            got, want = gram_matrix(K3, vectors), _gram_matrix_reference(K3, vectors)
+            assert got == want
+            kind = Fraction if make is frac else int
+            assert all(type(x) is kind for row in got for x in row)
+    # the HNF rows of complements, the sparse case gram_matrix is built for
+    for _ in range(10):
+        basis = orth_complement(K3, [sparse()]).basis
+        assert gram_matrix(K3, basis) == _gram_matrix_reference(K3, basis)
+    assert gram_matrix(K3, []) == ()
 
 
 def test_inner_formal_plain_both_orders(U3):
