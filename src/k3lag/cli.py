@@ -444,7 +444,7 @@ class _Parser(argparse.ArgumentParser):
         raise ser.InputError("bad_arguments", message)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argv parser, built once per process from COMMANDS."""
     parser = _Parser(

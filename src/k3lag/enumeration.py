@@ -21,6 +21,7 @@ finite sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from math import isqrt, lcm
 from typing import Iterator, List, Optional, Tuple
@@ -247,6 +248,28 @@ def find_isotropic(lat: Lattice, height: int = 10):
     return Unknown(height)
 
 
+@lru_cache(maxsize=1)
+def _slice_setup(lat: Lattice, w: IntVec) -> tuple:
+    """The w-dependent data of a _Slice, as tuples its instances share. One
+    entry serves make_nef's walk and then its final root_slice check; more
+    would keep finished walks' data alive. Refusals raise on every call.
+    """
+    comp = orth_complement(lat, [w])
+    comp_lat = comp.as_lattice()
+    _require_negative_definite(comp_lat)
+    rows = comp.basis[::-1]
+    pd = tuple(tuple(-g for g in row[::-1]) for row in comp_lat.gram[::-1])
+    dec = la.symmetric_diagonalize(pd)
+    den, adj = la.frac_inverse(pd) if rows else (1, ())
+    d, sol = la.gcd_combination(gram_row(lat, w))  # d >= 1: w.w > 0, so w's row != 0
+    gs = gram_row(lat, sol)
+    ts = la.matvec(rows, gs)
+    us = la.matvec(adj, ts)  # den u and den (x_a.x_a + t.u) at level d
+    r1 = la.dot(gs, sol) * den + la.dot(ts, us)
+    cols = tuple(tuple((i, r[j]) for i, r in enumerate(rows) if r[j]) for j in range(len(w)))
+    return rows, pd, dec, den, d, sol, us, r1, cols
+
+
 class _Slice:
     """The root levels delta.w = a of one (lattice, w), in complement coordinates.
 
@@ -261,24 +284,13 @@ class _Slice:
     root, so a caller testing delta.y = x_a.y + c.(M y) builds only the
     roots it keeps. HNF pivots are positive and echelon, so host order is
     lexicographic order of c over the HNF rows; reversed, c_0 is the
-    engine's outermost level and levels come out sorted.
+    engine's outermost level and levels come out sorted. Slices of one
+    (lat, w) built back to back share one _slice_setup; coords starts afresh.
     """
 
     def __init__(self, lat: Lattice, w: IntVec):
-        comp = orth_complement(lat, [w])
-        comp_lat = comp.as_lattice()
-        _require_negative_definite(comp_lat)
-        self.rows = rows = comp.basis[::-1]
-        self.pd = tuple(tuple(-g for g in row[::-1]) for row in comp_lat.gram[::-1])
-        self.dec = la.symmetric_diagonalize(self.pd)
-        self.den, adj = la.frac_inverse(self.pd) if rows else (1, ())
-        gw = gram_row(lat, w)
-        self.d, self.sol = la.gcd_combination(gw)  # d >= 1: w.w > 0, so gw != 0
-        gs = gram_row(lat, self.sol)
-        ts = la.matvec(rows, gs)
-        self.us = la.matvec(adj, ts)  # den u and den (x_a.x_a + t.u) at level d
-        self.r1 = la.dot(gs, self.sol) * self.den + la.dot(ts, self.us)
-        self.cols = [[(i, r[j]) for i, r in enumerate(rows) if r[j]] for j in range(len(w))]
+        (self.rows, self.pd, self.dec, self.den, self.d, self.sol, self.us, self.r1,
+         self.cols) = _slice_setup(lat, w)
 
     def anchor(self, a: int) -> IntVec:
         """x_a = (a / d) s, the host point of level a's coordinates."""
@@ -308,7 +320,8 @@ def root_slice(lat: Lattice, w, bound: int, lower: int = 0) -> List[IntVec]:
     makes the slice finite; the listing is complete and lexicographic. The
     lower end (default 0, at least 0) cuts the slice to the levels above
     it, so root_slice(lat, w, a + 1, a - 1) is the single level delta.w = a.
-    The levels come from one _Slice, each already sorted.
+    The levels come from one _Slice, each already sorted; after a make_nef
+    walk on (lat, w) it reuses the walk's set-up but enumerates anew.
     """
     wv = la.int_vector(w)
     w2 = norm(lat, wv)  # raises RankMismatch for a w of the wrong length

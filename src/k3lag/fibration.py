@@ -34,7 +34,7 @@ class NefWalkResult:
     after each reflection; it is strictly decreasing and positive, which
     makes termination observable rather than assumed. The final class pairs
     non-negatively with every root in the remaining slice; make_nef checks
-    that against the whole root_slice before it returns.
+    that against the whole root_slice, sharing only the walk's set-up.
     """
 
     nef_class: IntVec
@@ -83,7 +83,8 @@ def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
     reuse the coordinates seen and resume the rest. Each step preserves
     ell.ell = 0 and strictly decreases ell.omega, so the walk terminates; a
     root of the final root_slice pairing negatively with the result raises
-    ImpossibleState.
+    ImpossibleState. That check reuses the walk's complement set-up
+    (enumeration._slice_setup) but not its levels: it enumerates anew.
     """
     ov = int_vector(omega)
     lv = int_vector(ell)

@@ -228,7 +228,7 @@ def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:
 
 
 def det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by Bareiss elimination; no-op row steps are skipped."""
     n = len(m)
     if n == 0:
         return 1
@@ -243,6 +243,8 @@ def det(m: Sequence[Sequence[int]]) -> int:
             a[k], a[j] = a[j], a[k]
             sign = -sign
         for i in range(k + 1, n):
+            if a[i][k] == 0 and a[k][k] == prev:
+                continue  # the step would leave row i as it is
             for j in range(k + 1, n):
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
             a[i][k] = 0
@@ -327,8 +329,9 @@ def frac_inverse(m: Sequence[Sequence[int]]) -> Tuple[int, IntMatrix]:
     Fraction-free Gauss-Jordan on [m | I] over Z: every row i != k becomes
     (p row_i - a_ik row_k) / prev at pivot p, an exact division (Bareiss),
     so the left block ends as prev * I with prev = +-det m and the right
-    block as prev * m^-1. Dividing out g = gcd(prev, right block) leaves
-    d = |prev| / g, the lcm of the denominators of m^-1 in lowest terms.
+    block as prev * m^-1 (a row with a_ik = 0 at p = prev stays as it is and
+    is skipped). Dividing out g = gcd(prev, right block) leaves d = |prev| / g,
+    the lcm of the denominators of m^-1 in lowest terms.
     """
     n = len(m)
     a = [list(map(int, row)) + list(e) for row, e in zip(m, identity(n))]
@@ -341,7 +344,7 @@ def frac_inverse(m: Sequence[Sequence[int]]) -> Tuple[int, IntMatrix]:
         p, rk = a[k][k], a[k]
         for i in range(n):
             c = a[i][k]
-            if i != k:
+            if i != k and (c or p != prev):  # else row i stays as it is
                 a[i] = [(p * x - c * y) // prev for x, y in zip(a[i], rk)]
         prev = p
     d = abs(prev) // gcd(prev, *(x for row in a for x in row[n:]))

@@ -247,9 +247,12 @@ class Isometry:
         return Isometry(la.matmul(self.matrix, other.matrix))
 
     def preserves(self, lat: Lattice) -> bool:
-        gt = la.transpose(self.matrix)
-        ok = la.matmul(la.matmul(gt, lat.gram), self.matrix) == lat.gram
-        return ok and abs(la.det(self.matrix)) == 1
+        """g^T G g == G and det g = +-1, which a nondegenerate G implies; G g
+        from G's (sparse) rows. A g of the wrong size raises ValueError."""
+        gm = tuple(la.vecmat(row, self.matrix) for row in lat.gram)
+        if tuple(la.vecmat(col, gm) for col in zip(*self.matrix)) != lat.gram:
+            return False
+        return signature(lat)[2] == 0 or abs(la.det(self.matrix)) == 1
 
     @classmethod
     def identity(cls, rank: int) -> "Isometry":

@@ -5,6 +5,7 @@ from math import ceil, floor, isqrt, lcm
 
 import pytest
 
+from k3lag import enumeration
 from k3lag import intlinalg as la
 from k3lag.enumeration import (
     Unknown,
@@ -531,3 +532,46 @@ def test_ellipsoid_half_rank_zero_and_one():
     assert _points(pd, dec, zero, Fraction(0), shell=True, half=True) == []
     with pytest.raises(ValueError):
         _points(pd, dec, (Fraction(1, 2),), Fraction(8), half=True)
+
+
+def test_slice_setup_holds_one_entry():
+    assert enumeration._slice_setup.cache_info().maxsize == 1
+
+
+def test_root_slice_same_with_a_cold_and_a_warm_setup():
+    # two lattices and two w each, interleaved so that some calls hit the
+    # one-entry cache and some replace it; every list equals its cold one
+    u_e8 = direct_sum(hyperbolic_plane(), e8_lattice())
+    u_m2 = direct_sum(hyperbolic_plane(), from_diagonal([-2]))
+    cases = [
+        (u_e8, (3, 1) + (0,) * 8, 3),
+        (u_m2, (3, 2, 1), 7),
+        (u_e8, (2, 2) + (0,) * 8, 5),
+        (u_m2, (2, 2, 0), 9),
+    ]
+    cold = []
+    for lat, w, bound in cases:
+        enumeration._slice_setup.cache_clear()
+        cold.append(root_slice(lat, w, bound))
+    assert all(cold)
+    enumeration._slice_setup.cache_clear()
+    for i in (0, 0, 1, 0, 2, 2, 3, 1, 1, 3, 2, 0):
+        lat, w, bound = cases[i]
+        assert root_slice(lat, w, bound) == cold[i], i
+        assert enumeration._slice_setup.cache_info().currsize == 1
+    assert enumeration._slice_setup.cache_info().hits == 3
+
+
+def test_slice_setup_refuses_an_indefinite_complement_on_every_call():
+    # lru_cache keeps no exception: a refused w is refused again, also after
+    # a good w on another lattice took the entry
+    uu = direct_sum(hyperbolic_plane(), hyperbolic_plane())
+    u_m2 = direct_sum(hyperbolic_plane(), from_diagonal([-2]))
+    for _ in range(2):
+        for call in (
+            lambda: root_slice(uu, (1, 1, 0, 0), 3),
+            lambda: _Slice(uu, (1, 1, 0, 0)),
+        ):
+            with pytest.raises(NotNegativeDefinite):
+                call()
+        assert root_slice(u_m2, (3, 2, 1), 7)

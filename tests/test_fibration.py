@@ -289,3 +289,33 @@ def test_syz_witness_random_contract(K3):
         assert inner(K3, ell, w) == 0
         assert any(ell) and is_primitive(ell)
         assert rep.canonical.g.apply(rep.w_primitive) == rep.canonical.target
+
+
+def test_make_nef_builds_omegas_complement_once_per_walk(monkeypatch):
+    # the final root_slice check takes the walk's complement set-up from the
+    # one-entry cache, so each walk builds omega's complement once, cold
+    builds, checks = [0], [0]
+    complement, check = enumeration.orth_complement, fibration.root_slice
+
+    def counting_complement(*args):
+        builds[0] += 1
+        return complement(*args)
+
+    def counting_check(*args):
+        checks[0] += 1
+        return check(*args)
+
+    monkeypatch.setattr(enumeration, "orth_complement", counting_complement)
+    monkeypatch.setattr(fibration, "root_slice", counting_check)
+    lat = direct_sum(hyperbolic_plane(), e8_lattice())
+    walks = [
+        ((2, 2), (1, 1, 0, 0, 0, 0, 0, 0, 0, 1), 1),
+        ((3, 1), (1, 1, 1, 1, 2, 3, 2, 2, 2, 1), 2),
+        ((3, 1), (2, 1, 0, 0, 1, 0, 0, 1, 1, 0), 3),
+    ]
+    for omega, ell, steps in walks:
+        enumeration._slice_setup.cache_clear()
+        builds[0] = checks[0] = 0
+        res = make_nef(lat, omega + (0,) * 8, ell)
+        assert len(res.reflections) == steps, (omega, ell)
+        assert (builds[0], checks[0]) == (1, 1), (omega, ell)

@@ -398,6 +398,90 @@ def test_frac_inverse_and_int_inverse_refusals():
             la.int_inverse(m)
 
 
+def _det_reference(m):
+    """intlinalg.det as first written: every Bareiss step on every row."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            j = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if j is None:
+                return 0
+            a[k], a[j] = a[j], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _frac_inverse_reference(m):
+    """intlinalg.frac_inverse as first written: every row at every pivot."""
+    n = len(m)
+    a = [list(row) + list(e) for row, e in zip(m, la.identity(n))]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[k], a[piv] = a[piv], a[k]
+        p, rk = a[k][k], a[k]
+        for i in range(n):
+            c = a[i][k]
+            if i != k:
+                a[i] = [(p * x - c * y) // prev for x, y in zip(a[i], rk)]
+        prev = p
+    d = abs(prev) // gcd(prev, *(x for row in a for x in row[n:]))
+    q = prev // d
+    return d, tuple(tuple(x // q for x in row[n:]) for row in a)
+
+
+def _bareiss_cases():
+    """Seeded dense, sparse, permutation, identity and singular matrices."""
+    rng = random.Random(719)
+    cases = []
+    for n in range(1, 12):
+        cases.append([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+        cases.append([[rng.choice((0, 0, 0, 0, 1, -1, 2)) for _ in range(n)] for _ in range(n)])
+        perm = rng.sample(range(n), n)
+        cases.append([[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(n)] for i in range(n)])
+        cases.append([list(row) for row in la.identity(n)])
+        d = [[rng.choice((0, 0, 1)) * rng.randint(1, 3) if i <= j else 0 for j in range(n)]
+             for i in range(n)]
+        for i in range(n):
+            d[i][i] = rng.choice((1, -1, 2))
+        cases.append(d)  # triangular: many zero entries at unit and non-unit pivots
+        if n > 1:
+            sing = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 1)]
+            c = rng.randint(-2, 2)
+            sing.append([c * x for x in sing[rng.randrange(n - 1)]])
+            rng.shuffle(sing)
+            cases.append(sing)
+            cases.append([[0] + [rng.randint(-3, 3) for _ in range(n - 1)] for _ in range(n)])
+    return cases
+
+
+def test_det_and_frac_inverse_match_their_references():
+    singular = 0
+    for m in _bareiss_cases():
+        frozen = la.freeze(m)
+        assert la.det(frozen) == _det_reference(m), m
+        try:
+            want = _frac_inverse_reference(m)
+        except ZeroDivisionError:
+            singular += 1
+            with pytest.raises(ZeroDivisionError):
+                la.frac_inverse(frozen)
+            continue
+        assert la.frac_inverse(frozen) == want, m
+    assert singular >= 15
+
+
 def _laplace_det(m):
     if not m:
         return 1

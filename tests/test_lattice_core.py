@@ -312,3 +312,70 @@ def test_inner_formal_plain_both_orders(U3):
         inner(U3, fv, (1, 0))
     with pytest.raises(RankMismatch):
         inner(U3, (1, 0), fv)
+
+
+def _preserves_reference(m, lat):
+    """Isometry.preserves as first written: g^T G g == G and |det g| == 1."""
+    ok = la.matmul(la.matmul(la.transpose(m), lat.gram), m) == lat.gram
+    return ok and abs(la.det(m)) == 1
+
+
+def test_preserves_keeps_det_on_a_degenerate_lattice():
+    # on U + <0>, g^T G g = G does not force det g = +-1
+    lat = direct_sum(hyperbolic_plane(), from_diagonal([0]))
+    g = ((1, 0, 0), (0, 1, 0), (0, 0, 3))
+    assert la.matmul(la.matmul(la.transpose(g), lat.gram), g) == lat.gram
+    assert not Isometry(g).preserves(lat)
+    assert Isometry(((1, 0, 0), (0, 1, 0), (2, -1, -1))).preserves(lat)
+    with pytest.raises(ValueError):
+        Isometry.identity(3).preserves(hyperbolic_plane())
+    with pytest.raises(ValueError):
+        Isometry.identity(2).preserves(lat)
+
+
+def test_preserves_matches_the_reference():
+    # seeded reflections, their products, perturbed products and random
+    # integer matrices, on nondegenerate and degenerate lattices
+    from k3lag.fibration import reflection
+
+    rng = random.Random(523)
+    u = hyperbolic_plane()
+    lattices = [
+        direct_sum(u, e8_lattice()),
+        k3_lattice(),
+        direct_sum(u, from_diagonal([-2])),
+        direct_sum(u, from_diagonal([0]), e8_lattice()),
+    ]
+    verdicts = []
+    for lat in lattices:
+        n = lat.rank
+        roots = []
+        while len(roots) < 6:
+            v = tuple(rng.choice((-1, 0, 0, 0, 1)) for _ in range(n))
+            if norm(lat, v) == -2:
+                roots.append(v)
+        mats = [reflection(lat, r).matrix for r in roots]
+        for _ in range(6):
+            g = Isometry.identity(n)
+            for r in rng.sample(roots, rng.randint(2, 4)):
+                g = g.compose(reflection(lat, r))
+            mats.append(g.matrix)
+            bent = [list(row) for row in g.matrix]
+            bent[rng.randrange(n)][rng.randrange(n)] += rng.choice((-1, 1, 2))
+            mats.append(bent)
+            mats.append(tuple(tuple(-x for x in row) for row in g.matrix))
+        for _ in range(6):
+            mats.append([[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+        for m in mats:
+            want = _preserves_reference(la.freeze(m), lat)
+            assert Isometry(m).preserves(lat) == want, m
+            verdicts.append(want)
+    # degenerate U + <0>: g^T G g = G with every corner value z
+    lat = direct_sum(u, from_diagonal([0]))
+    for _ in range(40):
+        a = rng.choice((((1, 0), (0, 1)), ((0, 1), (1, 0)), ((-1, 0), (0, -1))))
+        m = (a[0] + (0,), a[1] + (0,), (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-3, 3)))
+        want = _preserves_reference(m, lat)
+        assert Isometry(m).preserves(lat) == want, m
+        verdicts.append(want)
+    assert verdicts.count(True) >= 60 and verdicts.count(False) >= 60
