@@ -356,11 +356,12 @@ def realize_witness(
     x is a positive vector of E-perp, the y_i are its HNF basis, and the
     returned bound B keeps v.v > 0 for all |t_i| <= 1 and 0 < eps < B.
     The joint-kernel identity v-perp intersect host = E is verified exactly
-    before returning. Raises NotRealizable naming the first failed check.
+    before returning. Raises DegenerateLattice when the host's signature has
+    z > 0, else NotRealizable naming the first failed check.
     """
     if e.host != host:
         raise RankMismatch("sublattice host differs from given lattice")
-    if radical(host).rank != 0:
+    if signature(host)[2] != 0:
         raise DegenerateLattice("ambient lattice must be nondegenerate")
     failure = "NotProper" if e.is_full() else (
         "NotSaturated" if saturate(host, e) != e else None

@@ -32,6 +32,7 @@ from .exact import primitivize, sign_normalized
 from .lattice import (
     Lattice,
     Sublattice,
+    gram_matrix,
     gram_row,
     norm,
     orth_complement,
@@ -69,11 +70,11 @@ def _ellipsoid_points(pd, dec, cq, q, top, shell=False, half=False) -> Iterator[
     """Integer points x with P(x - c) <= b for the centre c = cq / q and the
     bound b = top / q (cq an integer vector, q >= 1 and top integers).
 
-    dec = (diag, V) is la.symmetric_diagonalize of the definite form P = pd,
-    so callers enumerating several ellipsoids of one form diagonalize it
-    once. V P V^T = diag gives P(y) = sum_k F_k(y)^2 / diag_k for the
-    integer forms F_k = (V P)_k, and as a definite form needs no swap or
-    add move, F_k involves only y_k..y_{n-1}. L_k = F_k(q x - cq) is an
+    (pd, dec) = (P, (diag, V)) comes from _definite, which has checked that
+    P is definite, so callers enumerating several ellipsoids of one form
+    diagonalize it once. V P V^T = diag gives P(y) = sum_k F_k(y)^2 / diag_k
+    for the integer forms F_k = (V P)_k, and as a definite form needs no
+    swap or add move, F_k involves only y_k..y_{n-1}. L_k = F_k(q x - cq) is an
     integer, and with D = lcm(diag_k) and integer weights e_k = D / diag_k,
     P(x - c) <= b reads sum_k e_k L_k^2 <= D q top. The search runs on ints
     alone: level k admits |L_k| <= isqrt(rest // e_k), the exact floor of
@@ -91,8 +92,6 @@ def _ellipsoid_points(pd, dec, cq, q, top, shell=False, half=False) -> Iterator[
     is positive and the origin is never yielded.
     """
     diag, basis = dec
-    if any(d <= 0 for d in diag):
-        raise NotNegativeDefinite("form is not definite")
     if half and any(cq):
         raise ValueError("half needs centre 0")
     n = len(diag)
@@ -152,12 +151,17 @@ def _ellipsoid_points(pd, dec, cq, q, top, shell=False, half=False) -> Iterator[
         k -= 1
 
 
-def _require_negative_definite(lat: Lattice) -> None:
-    p, n, z = signature(lat)
-    if p != 0 or z != 0:
-        raise NotNegativeDefinite(
-            f"lattice has signature {(p, n, z)}, expected (0, {lat.rank}, 0)"
-        )
+def _definite(gram) -> tuple:
+    """(P, la.symmetric_diagonalize(P)), P the reversed, negated Gram. A Gram
+    that is not negative definite is refused with its signature, read off the
+    same diagonal by Sylvester's law: p = #(diag < 0), n = #(diag > 0)."""
+    pd = tuple(tuple(-g for g in row[::-1]) for row in gram[::-1])
+    dec = la.symmetric_diagonalize(pd)
+    p, n, r = sum(d < 0 for d in dec[0]), sum(d > 0 for d in dec[0]), len(pd)
+    if n != r:
+        z = r - p - n
+        raise NotNegativeDefinite(f"lattice has signature {(p, n, z)}, expected (0, {r}, 0)")
+    return pd, dec
 
 
 def short_vectors(lat: Lattice, bound: int, exact: bool = False) -> List[IntVec]:
@@ -166,13 +170,12 @@ def short_vectors(lat: Lattice, bound: int, exact: bool = False) -> List[IntVec]
     Complete: misses nothing within the bound. With exact, only the x with
     -x.x == bound, from the shell enumeration. The engine runs with half on
     the reversed form (outermost level: coordinate 0), so the points come
-    out lexicographic, first nonzero coordinate positive, with no sort.
+    out lexicographic, first nonzero coordinate positive, with no sort;
+    _definite's one diagonalization first refuses lat unless negative definite.
     """
-    _require_negative_definite(lat)
+    pd, dec = _definite(lat.gram)
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    pd = tuple(tuple(-g for g in row[::-1]) for row in lat.gram[::-1])
-    dec = la.symmetric_diagonalize(pd)
     points = _ellipsoid_points(pd, dec, (0,) * lat.rank, 1, bound, shell=exact, half=True)
     return [x[::-1] for x in points]
 
@@ -222,28 +225,26 @@ def find_positive(lat: Lattice) -> Optional[IntVec]:
 def find_isotropic(lat: Lattice, height: int = 10):
     """A primitive nonzero vector of square zero, None, or Unknown(height).
 
-    None is returned only when the signature proves none exist. The search
-    tries the radical, then visibly isotropic basis vectors, then an
-    exhaustive coordinate box scan out to the given height.
+    None only when the signature proves none exist; the radical's first row,
+    computed only when the signature has z > 0; else visibly isotropic basis
+    vectors, then an exhaustive coordinate box scan out to the given height.
     """
     if height < 1:
         raise ValueError("height must be a positive integer")
     if lat.rank == 0:
         return None
     p, n, z = signature(lat)
-    if z == 0 and (p == 0 or n == 0):
+    if z:
+        return radical(lat).basis[0]
+    if p == 0 or n == 0:
         return None
-    rad = radical(lat)
-    if rad.rank > 0:
-        return rad.basis[0]
+    g = lat.gram
     for i in range(lat.rank):
-        if lat.gram[i][i] == 0:
+        if g[i][i] == 0:
             return lat.basis_vector(i)
     for s in range(1, height + 1):
         for x in product(range(-s, s + 1), repeat=lat.rank):
-            if s not in x and -s not in x:
-                continue
-            if norm(lat, x) == 0:
+            if (s in x or -s in x) and la.dot(la.vecmat(x, g), x) == 0:
                 return sign_normalized(primitivize(x))
     return Unknown(height)
 
@@ -252,14 +253,12 @@ def find_isotropic(lat: Lattice, height: int = 10):
 def _slice_setup(lat: Lattice, w: IntVec) -> tuple:
     """The w-dependent data of a _Slice, as tuples its instances share. One
     entry serves make_nef's walk and then its final root_slice check; more
-    would keep finished walks' data alive. Refusals raise on every call.
+    would keep finished walks' data alive. _definite diagonalizes the
+    complement's Gram once and refuses a non-definite one on every call.
     """
     comp = orth_complement(lat, [w])
-    comp_lat = comp.as_lattice()
-    _require_negative_definite(comp_lat)
     rows = comp.basis[::-1]
-    pd = tuple(tuple(-g for g in row[::-1]) for row in comp_lat.gram[::-1])
-    dec = la.symmetric_diagonalize(pd)
+    pd, dec = _definite(gram_matrix(lat, comp.basis))
     den, adj = la.frac_inverse(pd) if rows else (1, ())
     d, sol = la.gcd_combination(gram_row(lat, w))  # d >= 1: w.w > 0, so w's row != 0
     gs = gram_row(lat, sol)

@@ -19,6 +19,7 @@ from k3lag.criteria import (
     verify_certificate,
 )
 from k3lag.errors import (
+    DegenerateLattice,
     HasPositive,
     NotCoupled,
     NotDecomposable,
@@ -430,6 +431,22 @@ def test_realize_witness_u3_e1(U3):
     rows = [la.integral_row(gram_row(U3, witness.base))]
     rows += [la.integral_row(gram_row(U3, y)) for _, y in witness.terms]
     assert la.int_kernel(rows, 6) == e.basis
+
+
+def test_realize_witness_reads_nondegeneracy_off_the_signature(monkeypatch, K3, U3):
+    # the host's nondegeneracy is its signature's z = 0: no radical kernel
+    def refuse(lat):
+        raise AssertionError("realize_witness computed a radical")
+
+    monkeypatch.setattr(criteria, "radical", refuse)
+    e8_block = [v22(*[0] * (6 + i), 1) for i in range(8)]
+    assert realize_witness(K3, Sublattice.from_generators(K3, e8_block))[1] > 0
+    assert realize_witness(U3, Sublattice.from_generators(U3, [v6(1, 0)]))[1] == Fraction(2, 9)
+    with pytest.raises(NotRealizable):
+        realize_witness(U3, Sublattice.from_generators(U3, [v6(2, 0)]))
+    degenerate = direct_sum(hyperbolic_plane(), Lattice(((0,),)))
+    with pytest.raises(DegenerateLattice):
+        realize_witness(degenerate, Sublattice.from_generators(degenerate, [(1, 0, 0)]))
 
 
 def test_realize_witness_zero_sublattice(U):

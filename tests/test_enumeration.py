@@ -9,6 +9,7 @@ from k3lag import enumeration
 from k3lag import intlinalg as la
 from k3lag.enumeration import (
     Unknown,
+    _definite,
     _ellipsoid_points,
     _Slice,
     find_isotropic,
@@ -18,7 +19,7 @@ from k3lag.enumeration import (
     short_vectors,
 )
 from k3lag.errors import NotNegativeDefinite, NotPositive, RankMismatch
-from k3lag.exact import sign_normalized
+from k3lag.exact import primitivize, sign_normalized
 from k3lag.lattice import (
     Lattice,
     Sublattice,
@@ -28,6 +29,7 @@ from k3lag.lattice import (
     hyperbolic_plane,
     inner,
     norm,
+    radical,
     signature,
 )
 
@@ -243,6 +245,104 @@ def test_find_isotropic_unknown():
     lat = from_diagonal([2, -3])  # 2a^2 = 3b^2 has no nonzero solution
     res = find_isotropic(lat, height=5)
     assert isinstance(res, Unknown) and res.height == 5
+
+
+def _random_form(rng, rank):
+    """A seeded small symmetric Gram: dense, B^T D B of lower rank, or diagonal."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        g = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            for j in range(i, rank):
+                g[i][j] = g[j][i] = rng.randint(-3, 3)
+        return tuple(map(tuple, g))
+    if kind == 1:
+        # rank(B) <= k < rank: a radical of rank >= rank - k, semidefinite
+        # whenever the signs of D agree
+        k = rng.randrange(rank)
+        b = [[rng.randint(-2, 2) for _ in range(rank)] for _ in range(k)]
+        d = [rng.choice((-3, -2, -1, -1, 1, 2)) for _ in range(k)]
+        return tuple(
+            tuple(sum(d[t] * b[t][i] * b[t][j] for t in range(k)) for j in range(rank))
+            for i in range(rank)
+        )
+    entries = (-7, -5, -3, -2, -1, 0, 1, 2, 3, 5)
+    return from_diagonal([rng.choice(entries) for _ in range(rank)]).gram
+
+
+def test_definite_refuses_with_the_signature():
+    # the refusal reads (p, n, z) off the reversed, negated form's diagonal;
+    # it must say what signature() says, on indefinite and degenerate forms
+    rng = random.Random(2207)
+    refused = degenerate = definite = 0
+    for _ in range(1800):
+        rank = rng.randint(1, 7)
+        negdef = rng.randrange(8) == 0
+        gram = random_negdef_gram(rng, rank) if negdef else _random_form(rng, rank)
+        sig = signature(Lattice(gram))
+        if sig == (0, rank, 0):
+            pd = tuple(tuple(-g for g in row[::-1]) for row in gram[::-1])
+            assert _definite(gram) == (pd, la.symmetric_diagonalize(pd))
+            definite += 1
+            continue
+        with pytest.raises(NotNegativeDefinite) as err:
+            _definite(gram)
+        assert str(err.value) == f"lattice has signature {sig}, expected (0, {rank}, 0)"
+        refused += 1
+        degenerate += sig[2] > 0
+    assert refused >= 1000 and degenerate >= 300 and definite >= 100
+    assert _definite(()) == ((), ((), ()))
+
+
+def test_slice_diagonalizes_the_complement_once(monkeypatch):
+    lat = direct_sum(hyperbolic_plane(), e8_lattice())
+    real, sizes = la.symmetric_diagonalize, []
+    monkeypatch.setattr(la, "symmetric_diagonalize", lambda g: sizes.append(len(g)) or real(g))
+    signature.cache_clear()
+    enumeration._slice_setup.cache_clear()
+    _Slice(lat, (3, 1) + (0,) * 8)
+    assert sizes == [9]
+
+
+def _find_isotropic_reference(lat, height):
+    """find_isotropic as it was before the signature's z decided the radical."""
+    if lat.rank == 0:
+        return None
+    p, n, z = signature(lat)
+    if z == 0 and (p == 0 or n == 0):
+        return None
+    rad = radical(lat)
+    if rad.rank > 0:
+        return rad.basis[0]
+    for i in range(lat.rank):
+        if lat.gram[i][i] == 0:
+            return lat.basis_vector(i)
+    for s in range(1, height + 1):
+        for x in product(range(-s, s + 1), repeat=lat.rank):
+            if s not in x and -s not in x:
+                continue
+            if norm(lat, x) == 0:
+                return sign_normalized(primitivize(x))
+    return Unknown(height)
+
+
+def test_find_isotropic_computes_the_radical_only_when_z_is_positive(monkeypatch):
+    def checked(lat):
+        assert signature(lat)[2] > 0, lat
+        return radical(lat)
+
+    monkeypatch.setattr(enumeration, "radical", checked)
+    rng = random.Random(4409)
+    seen = set()
+    for _ in range(400):
+        rank = rng.randint(1, 4)
+        lat, height = Lattice(_random_form(rng, rank)), rng.randint(1, 3 if rank < 4 else 2)
+        got = find_isotropic(lat, height)
+        assert got == _find_isotropic_reference(lat, height), lat
+        z = signature(lat)[2]
+        seen.add("radical" if z else type(got).__name__)
+    assert find_isotropic(Lattice(()), 2) is None
+    assert seen == {"radical", "NoneType", "Unknown", "tuple"}
 
 
 # --- root_slice -----------------------------------------------------------

@@ -95,6 +95,8 @@ CASES = {
     "roots_e8": (["roots", "--lattice", "E8"], None),
     "roots_u_minus2": (
         ["roots"], {"lattice": _gram([[0, 1, 0], [1, 0, 0], [0, 0, -2]])}),
+    # a refusal with a nonzero radical: <-2> + <0> has signature (0, 1, 1)
+    "roots_degenerate": (["roots"], {"lattice": _gram([[-2, 0], [0, 0]])}),
     "info_u": (["info", "--lattice", "U"], None),
     "info_k3": (["info", "--lattice", "K3"], None),
     "info_unknown": (
@@ -104,10 +106,16 @@ CASES = {
         {"lattice": _gram([[0, 2, 1, 0], [2, 0, 0, 1], [1, 0, 0, 3], [0, 1, 3, 0]])}),
     "info_negative_definite": (
         ["info", "--height", "2"], {"lattice": _gram([[-2, 1], [1, -4]])}),
+    # U + <0>: the isotropic vector comes from the radical
+    "info_degenerate": (
+        ["info", "--height", "2"], {"lattice": _gram([[0, 1, 0], [1, 0, 0], [0, 0, 0]])}),
     "realize_e8_block": (["realize"], {"host": "K3", "sublattice": E8_BLOCK}),
     "realize_not_saturated": (
         ["realize"],
         {"host": {"gram": U3_GRAM}, "sublattice": [["2", "0", "0", "0", "0", "0"]]}),
+    "realize_degenerate_host": (
+        ["realize"],
+        {"host": _gram([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), "sublattice": [["1", "0", "0"]]}),
     "syz_k3": (["syz"], {"host": "K3", "w": _k3_vector(1, 1)}),
     "syz_k3_mixed": (
         ["syz"], {"host": "K3", "w": _k3_vector(2, 3, 1, -1, 0, 1, 1, 0, 0, -1)}),
@@ -155,6 +163,11 @@ GOLDEN = {
     'eichler_k3': (
         '6f4ddb9e89ab5be95023fb7c0eda921938e9b34a797474756663579b3a1b0479',
         '004e9ed166ff75f5b12f44b7dacbc0e58d0cd342e7b40644260a32739b712bd3'),
+    # the three *_degenerate cases were recorded before nondegeneracy was read
+    # off the signature's z instead of the radical
+    'info_degenerate': (
+        '4030d25d18f19a3c4fad49661b64288c9c986866e6b96f6939458f9f87454206',
+        '2aeb7de3afb02d535ec5e6a86140ecf49cc936b493aacea53c12275eeea3e3ff'),
     'info_k3': (
         'ece68bafa54b8920a85cac6b610712f7e7b9420df9b8406a0720c954c2cd9012',
         '2aeb7de3afb02d535ec5e6a86140ecf49cc936b493aacea53c12275eeea3e3ff'),
@@ -170,12 +183,18 @@ GOLDEN = {
     'info_zero_diagonal': (
         '05975ac8ac701e0d5f379d64e430e905c0afcc2be26524826084b519cd87739d',
         '2aeb7de3afb02d535ec5e6a86140ecf49cc936b493aacea53c12275eeea3e3ff'),
+    'realize_degenerate_host': (
+        '80db5c085504f83dfa0570765a2bc671b6824dd7cb668a6959cf4476ecdcbf3f',
+        'c3c35c2d04c5a2ca0240bd6762c61dc5349b5ecd5d36d2a534e44088b9d65393'),
     'realize_e8_block': (
         'ebc873e375b4d6f77aefde0a912a4acbd3c2c832a367251a2cf3bec54f492e6b',
         '0334c8d54ce35b6810b9381bb655a56df077e8dce9ab31f526b8320069f42119'),
     'realize_not_saturated': (
         'd1191a086f98b9ebca4a50d876ea0a784207a24267c9c4023891d8761d97d75b',
         '0334c8d54ce35b6810b9381bb655a56df077e8dce9ab31f526b8320069f42119'),
+    'roots_degenerate': (
+        'b6e0c4a7489b383b9a58d46ddd862fd824ec0f1ddc0ac660c6284dcc711247f7',
+        'c3c35c2d04c5a2ca0240bd6762c61dc5349b5ecd5d36d2a534e44088b9d65393'),
     'roots_e8': (
         '19d2423eceb6fc27647b967cd769387b3fc6b527d5ae3fb365630f0436ded88b',
         '8ea3af95f667cb18279f8954299d70bee95531980f891e50526bb60a20fc86e6'),
