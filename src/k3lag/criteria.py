@@ -382,11 +382,7 @@ def realize_witness(
     pairwise = sum(2 * sum(row) - row[-1] for row in lower)  # the full k x k sum
     bound = min(Fraction(1), Fraction(la.dot(rows[0], x), 2 * cross + pairwise + 1))
     witness = FormalVector(
-        base=tuple(Fraction(c) for c in x),
-        eps=bound / 2,
-        terms=tuple(
-            (i + 1, tuple(Fraction(c) for c in y)) for i, y in enumerate(ys)
-        ),
+        base=x, eps=bound / 2, terms=tuple((i + 1, y) for i, y in enumerate(ys))
     )
     # exact identity: the joint kernel of x and the y_i cuts out E again
     joint = la.int_kernel(rows, host.rank)

@@ -227,7 +227,15 @@ def find_isotropic(lat: Lattice, height: int = 10):
 
     None only when the signature proves none exist; the radical's first row,
     computed only when the signature has z > 0; else visibly isotropic basis
-    vectors, then an exhaustive coordinate box scan out to the given height.
+    vectors, then an exhaustive coordinate box scan out to the given height:
+    the first x, in product order, of the shells max|x_i| = s = 1..height.
+    The scan solves for the last coordinate. A prefix y in [-s, s]^(n-1)
+    and its Gram row give Q(y, t) = a + 2bt + ct^2, with c = g[n-1][n-1]
+    nonzero (a zero diagonal entry returned above), so its integer roots
+    t = (-b +- isqrt(b^2 - ac)) / c are read off one quadratic. A root counts
+    if |t| <= s and, unless y holds +-s, |t| = s; the smallest counting t
+    is the one product order reaches first. So height s costs (2s+1)^(n-1)
+    Gram rows.
     """
     if height < 1:
         raise ValueError("height must be a positive integer")
@@ -242,10 +250,20 @@ def find_isotropic(lat: Lattice, height: int = 10):
     for i in range(lat.rank):
         if g[i][i] == 0:
             return lat.basis_vector(i)
+    c, rows = g[-1][-1], g[:-1]
     for s in range(1, height + 1):
-        for x in product(range(-s, s + 1), repeat=lat.rank):
-            if (s in x or -s in x) and la.dot(la.vecmat(x, g), x) == 0:
-                return sign_normalized(primitivize(x))
+        for y in product(range(-s, s + 1), repeat=lat.rank - 1):
+            row = la.vecmat(y, rows)
+            b = row[-1]
+            disc = b * b - la.dot(y, row[:-1]) * c
+            if disc < 0:
+                continue
+            r = isqrt(disc)
+            if r * r != disc:
+                continue
+            for t in sorted(num // c for num in {-b - r, -b + r} if num % c == 0):
+                if abs(t) <= s and (abs(t) == s or s in y or -s in y):
+                    return sign_normalized(primitivize(y + (t,)))
     return Unknown(height)
 
 

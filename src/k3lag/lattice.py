@@ -75,10 +75,8 @@ class FormalVector:
     terms: Tuple[Tuple[int, QVec], ...]
 
     def __post_init__(self):
-        base = tuple(Fraction(c) for c in self.base)
-        terms = tuple(
-            (la.as_int(i), tuple(Fraction(c) for c in v)) for i, v in self.terms
-        )
+        base = _qvec(self.base)
+        terms = tuple((la.as_int(i), _qvec(v)) for i, v in self.terms)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "eps", Fraction(self.eps))
         object.__setattr__(self, "terms", terms)
@@ -99,6 +97,11 @@ class FormalVector:
         return all(c == 0 for c in self.base) and all(
             all(c == 0 for c in v) for _, v in self.terms
         )
+
+
+def _qvec(v) -> QVec:
+    """The entries of v as Fractions; a Fraction entry is kept, not copied."""
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in v)
 
 
 def _coerce_vector(x: VectorLike, rank: int) -> tuple:

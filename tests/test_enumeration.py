@@ -345,6 +345,93 @@ def test_find_isotropic_computes_the_radical_only_when_z_is_positive(monkeypatch
     assert seen == {"radical", "NoneType", "Unknown", "tuple"}
 
 
+def _conjugated_diagonal(rng, rank, last_negative=False):
+    """An indefinite diagonal form with entries in +-{1, 2, 3, 5, 7}, conjugated
+    by seeded elementary moves (the shape of the benchmark's info inputs)."""
+    while True:
+        d = [rng.choice((-7, -5, -3, -2, -1, 1, 2, 3, 5, 7)) for _ in range(rank)]
+        if last_negative:
+            d[-1] = -abs(d[-1])
+        if min(d) < 0 < max(d):
+            break
+    m = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    for _ in range(rank):
+        i, j = rng.sample(range(rank), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return tuple(
+        tuple(sum(d[k] * m[i][k] * m[j][k] for k in range(rank)) for j in range(rank))
+        for i in range(rank)
+    )
+
+
+def _scan_branches(lat, height, seen):
+    """Count, over the prefixes the scan visits, which way each quadratic
+    Q(y, t) = a + 2bt + ct^2 goes; a, b and c come from norm, not vecmat."""
+    if lat.rank < 2 or any(lat.gram[i][i] == 0 for i in range(lat.rank)):
+        return
+    c = lat.gram[-1][-1]
+    for s in range(1, height + 1):
+        for y in product(range(-s, s + 1), repeat=lat.rank - 1):
+            a, edge = norm(lat, y + (0,)), s in y or -s in y
+            b = (norm(lat, y + (1,)) - a - c) // 2
+            disc = b * b - a * c
+            if disc < 0:
+                seen["negative"] += 1
+                continue
+            r = isqrt(disc)
+            if r * r != disc:
+                seen["not_square"] += 1
+                continue
+            valid = []
+            for num in {-b - r, -b + r}:
+                if num % c:
+                    seen["indivisible"] += 1
+                elif abs(num // c) > s:
+                    seen["outside"] += 1
+                elif abs(num // c) < s and not edge:
+                    seen["interior"] += 1
+                else:
+                    valid.append(num // c)
+            if len(valid) == 2:
+                seen["two_valid"] += 1
+                seen["two_valid_c_negative"] += c < 0
+            if valid:
+                return
+
+
+def test_find_isotropic_quadratic_scan_against_the_box():
+    # the scan that solves for the last coordinate returns what the full box
+    # scan returns, on forms that reach every branch of the quadratic
+    rng = random.Random(2311)
+    forms = [(_random_form(rng, 5), rng.randint(1, 2)) for _ in range(60)]
+    forms += [(_conjugated_diagonal(rng, rng.randint(3, 5)), rng.randint(1, 2))
+              for _ in range(120)]
+    forms += [(_conjugated_diagonal(rng, rng.randint(2, 4), True), rng.randint(1, 3))
+              for _ in range(120)]
+    seen = dict.fromkeys(
+        ("negative", "not_square", "indivisible", "outside", "interior", "two_valid",
+         "two_valid_c_negative"), 0)
+    answers = set()
+    for gram, height in forms:
+        lat = Lattice(gram)
+        got = find_isotropic(lat, height)
+        assert got == _find_isotropic_reference(lat, height), (gram, height)
+        answers.add(type(got).__name__)
+        if signature(lat)[2] == 0:
+            _scan_branches(lat, height, seen)
+    assert all(seen.values()), seen
+    assert {"tuple", "Unknown"} <= answers
+
+
+def test_find_isotropic_forms_one_gram_row_per_prefix(monkeypatch):
+    lat = from_diagonal([1, 1, 1, -7])  # anisotropic over Q_2
+    real, calls = la.vecmat, []
+    monkeypatch.setattr(la, "vecmat", lambda v, m: calls.append(len(v)) or real(v, m))
+    assert find_isotropic(lat, height=3) == Unknown(3)
+    assert len(calls) == 3**3 + 5**3 + 7**3 and set(calls) == {3}
+
+
 # --- root_slice -----------------------------------------------------------
 
 

@@ -104,6 +104,16 @@ CASES = {
     "info_zero_diagonal": (
         ["info", "--height", "2"],
         {"lattice": _gram([[0, 2, 1, 0], [2, 0, 0, 1], [1, 0, 0, 3], [0, 1, 3, 0]])}),
+    # <-3> + <7> + <-1>: the box scan finds (1, 1, 2) at height 2, with a
+    # negative last diagonal entry
+    "info_box_scan": (
+        ["info", "--height", "3"], {"lattice": _gram([[-3, 0, 0], [0, 7, 0], [0, 0, -1]])}),
+    # <-3> + <5> + <-2> + <1> + <-2> conjugated by a unimodular matrix: the
+    # box scan finds its vector at height 2
+    "info_box_scan_rank5": (
+        ["info", "--height", "2"],
+        {"lattice": _gram([[-3, 0, 3, 0, 0], [0, -5, 6, 4, 4], [3, 6, -13, -4, -4],
+                           [0, 4, -4, -1, -2], [0, 4, -4, -2, -2]])}),
     "info_negative_definite": (
         ["info", "--height", "2"], {"lattice": _gram([[-2, 1], [1, -4]])}),
     # U + <0>: the isotropic vector comes from the radical
@@ -163,6 +173,13 @@ GOLDEN = {
     'eichler_k3': (
         '6f4ddb9e89ab5be95023fb7c0eda921938e9b34a797474756663579b3a1b0479',
         '004e9ed166ff75f5b12f44b7dacbc0e58d0cd342e7b40644260a32739b712bd3'),
+    # recorded before the box scan solved for its last coordinate
+    'info_box_scan': (
+        '2c3471e4c078de82a5ef9cbb45c59218819da795fdd9a7161692b0e858941123',
+        '2aeb7de3afb02d535ec5e6a86140ecf49cc936b493aacea53c12275eeea3e3ff'),
+    'info_box_scan_rank5': (
+        '383834b8ea504f77b61c423f592edda862ab35f109e1da8a66236bfab77033a4',
+        '2aeb7de3afb02d535ec5e6a86140ecf49cc936b493aacea53c12275eeea3e3ff'),
     # the three *_degenerate cases were recorded before nondegeneracy was read
     # off the signature's z instead of the radical
     'info_degenerate': (

@@ -74,6 +74,14 @@ def test_formal_vector_markers_are_checked():
     assert f.terms[0][0] == 2 and type(f.terms[0][0]) is int
 
 
+def test_formal_vector_builds_each_fraction_once():
+    # a Fraction entry is kept, not copied; other entries become Fractions
+    half = Fraction(1, 2)
+    f = FormalVector((half, 1), Fraction(1, 3), ((1, (0, half)),))
+    assert f.base[0] is half and f.terms[0][1][1] is half
+    assert all(type(c) is Fraction for c in f.base + f.terms[0][1])
+
+
 def test_integral_values_are_still_accepted(K3):
     lat = Lattice(((Fraction(4, 2), 1.0), (True, 0)))
     assert lat.gram == ((2, 1), (1, 0))
