@@ -354,8 +354,10 @@ def realize_witness(
     """Formal Kaehler direction v = x + eps * sum t_i y_i with v-perp = E.
 
     x is a positive vector of E-perp, the y_i are its HNF basis, and the
-    returned bound B keeps v.v > 0 for all |t_i| <= 1 and 0 < eps < B.
-    The joint-kernel identity v-perp intersect host = E is verified exactly
+    returned bound B = min(1, x.x / (2 sum|x.y_i| + sum_ij |y_i.y_j| + 1))
+    keeps v.v > 0 for all |t_i| <= 1 and 0 < eps < B. The y_i.y_j are the
+    Gram of E-perp that find_positive searched, not formed again. The
+    joint-kernel identity v-perp intersect host = E is verified exactly
     before returning. Raises DegenerateLattice when the host's signature has
     z > 0, else NotRealizable naming the first failed check.
     """
@@ -368,18 +370,18 @@ def realize_witness(
     )
     if failure is None:
         comp = orth_complement(host, e)
-        x_coords = find_positive(comp.as_lattice())
+        comp_lat = comp.as_lattice()  # the y_i.y_j
+        x_coords = find_positive(comp_lat)
         if x_coords is None:
             failure = "NoPositiveInComplement"
     if failure is not None:
         raise NotRealizable(failure, failing_condition=failure)
     x = comp.to_host(x_coords)
     ys = comp.basis
-    # one Gram row each of x, y_1..y_k: x.x, |x.y_i|, |y_i.y_j| and the kernel
+    # one Gram row each of x, y_1..y_k: x.x, |x.y_i| and the kernel
     rows = [gram_row(host, v) for v in (x, *ys)]
     cross = sum(abs(la.dot(rows[0], y)) for y in ys)
-    lower = [[abs(la.dot(r, y)) for y in ys[: i + 1]] for i, r in enumerate(rows[1:])]
-    pairwise = sum(2 * sum(row) - row[-1] for row in lower)  # the full k x k sum
+    pairwise = sum(abs(v) for row in comp_lat.gram for v in row)
     bound = min(Fraction(1), Fraction(la.dot(rows[0], x), 2 * cross + pairwise + 1))
     witness = FormalVector(
         base=x, eps=bound / 2, terms=tuple((i + 1, y) for i, y in enumerate(ys))

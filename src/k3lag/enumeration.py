@@ -199,11 +199,10 @@ def find_positive(lat: Lattice) -> Optional[IntVec]:
 
     Deterministic: basis vectors, then basis pairs, then the primitive
     part of the first positive row of the integer diagonalization basis,
-    from la.diagonal_steps stopped at that pivot (signature decides None).
+    from la.diagonal_steps stopped at that pivot. The signature is asked
+    last, only when no basis vector or pair is positive (none is when
+    p = 0), so a lattice with a positive one is never diagonalized whole.
     """
-    p, _, _ = signature(lat)
-    if p == 0:
-        return None
     g = lat.gram
     n = lat.rank
     for i in range(n):
@@ -216,6 +215,8 @@ def find_positive(lat: Lattice) -> Optional[IntVec]:
                     return tuple(
                         (1 if k == i else (s if k == j else 0)) for k in range(n)
                     )
+    if signature(lat)[0] == 0:
+        return None
     v = primitivize(next(row for d, row in la.diagonal_steps(g) if d > 0))
     if norm(lat, v) <= 0:
         raise ImpossibleState("diagonalization gave a non-positive vector")
@@ -229,41 +230,47 @@ def find_isotropic(lat: Lattice, height: int = 10):
     computed only when the signature has z > 0; else visibly isotropic basis
     vectors, then an exhaustive coordinate box scan out to the given height:
     the first x, in product order, of the shells max|x_i| = s = 1..height.
-    The scan solves for the last coordinate. A prefix y in [-s, s]^(n-1)
-    and its Gram row give Q(y, t) = a + 2bt + ct^2, with c = g[n-1][n-1]
-    nonzero (a zero diagonal entry returned above), so its integer roots
-    t = (-b +- isqrt(b^2 - ac)) / c are read off one quadratic. A root counts
-    if |t| <= s and, unless y holds +-s, |t| = s; the smallest counting t
-    is the one product order reaches first. So height s costs (2s+1)^(n-1)
-    Gram rows.
+    The scan solves for the last coordinate and steps the one before it.
+    A prefix z in [-s, s]^(n-2) and its Gram row r give, for y = (z, u)
+    with u in [-s, s], Q(y, t) = a + 2bt + ct^2 with b = b0 + u g[n-2][n-1]
+    and a = a0 + u (2 r[n-2] + u g[n-2][n-2]) in O(1), where a0 = Q(z) and
+    b0 = r[n-1]; c = g[n-1][n-1] is nonzero (a zero diagonal entry returned
+    above), so the integer roots t = (-b +- isqrt(b^2 - ac)) / c are read
+    off one quadratic. A root counts if |t| <= s and, unless z holds +-s
+    or |u| = s, |t| = s; the smallest counting t is the one product order
+    reaches first. So height s costs (2s+1)^(n-2) Gram rows.
     """
     if height < 1:
         raise ValueError("height must be a positive integer")
     if lat.rank == 0:
         return None
-    p, n, z = signature(lat)
-    if z:
+    p, neg, zero = signature(lat)
+    if zero:
         return radical(lat).basis[0]
-    if p == 0 or n == 0:
+    if p == 0 or neg == 0:
         return None
-    g = lat.gram
-    for i in range(lat.rank):
+    g, n = lat.gram, lat.rank
+    for i in range(n):
         if g[i][i] == 0:
             return lat.basis_vector(i)
-    c, rows = g[-1][-1], g[:-1]
+    # n >= 2 here: a nondegenerate rank-1 form is definite
+    c, guu, gut, outer = g[-1][-1], g[-2][-2], g[-2][-1], g[:-2]
     for s in range(1, height + 1):
-        for y in product(range(-s, s + 1), repeat=lat.rank - 1):
-            row = la.vecmat(y, rows)
-            b = row[-1]
-            disc = b * b - la.dot(y, row[:-1]) * c
-            if disc < 0:
-                continue
-            r = isqrt(disc)
-            if r * r != disc:
-                continue
-            for t in sorted(num // c for num in {-b - r, -b + r} if num % c == 0):
-                if abs(t) <= s and (abs(t) == s or s in y or -s in y):
-                    return sign_normalized(primitivize(y + (t,)))
+        for z in product(range(-s, s + 1), repeat=n - 2):
+            row = la.vecmat(z, outer) if z else (0,) * n
+            a0, ru, b0 = la.dot(z, row[:-2]), 2 * row[-2], row[-1]
+            edge = s in z or -s in z
+            for u in range(-s, s + 1):
+                b = b0 + u * gut
+                disc = b * b - (a0 + u * (ru + u * guu)) * c
+                if disc < 0:
+                    continue
+                r = isqrt(disc)
+                if r * r != disc:
+                    continue
+                for t in sorted(num // c for num in {-b - r, -b + r} if num % c == 0):
+                    if abs(t) <= s and (abs(t) == s or edge or abs(u) == s):
+                        return sign_normalized(primitivize(z + (u, t)))
     return Unknown(height)
 
 

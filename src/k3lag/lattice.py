@@ -328,13 +328,25 @@ def from_diagonal(entries: Sequence[int]) -> Lattice:
 
 
 def saturate(lat: Lattice, sub: Sublattice) -> Sublattice:
-    """(S tensor Q) intersected with the host: the saturation of S."""
+    """(S tensor Q) intersected with the host: the saturation of S.
+
+    One elimination decides it: U B^T = [T; 0] for the k x n basis B, and
+    |det T| is the gcd of B's k x k minors (the k-th determinantal divisor;
+    Cohen, A Course in Computational Algebraic Number Theory, 2.4), which
+    is the index of S in its saturation. So unit pivots on T's
+    diagonal return S itself. Otherwise the last n - k rows of U span
+    kernel(B), and the saturation is kernel(kernel(B)) over the standard
+    dot product.
+    """
     if sub.host != lat:
         raise RankMismatch("sublattice host differs from given lattice")
-    if sub.rank == 0:
+    k = sub.rank
+    if k == 0:
         return sub
-    # rowspan_Q(B) = kernel(kernel(B)) over the standard dot product
-    perp = la.int_kernel(sub.basis, lat.rank)
+    h, u = la.hnf_with_transform(la.transpose(sub.basis), k)
+    if all(h[i][i] == 1 for i in range(k)):
+        return sub
+    perp = la.hnf(u[k:], lat.rank)
     return Sublattice._from_hnf(lat, la.int_kernel(perp, lat.rank))
 
 

@@ -57,7 +57,8 @@ def enc(value):
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, (tuple, list)):
-        return [enc(x) for x in value]
+        # type(), not isinstance: a bool entry stays a boolean
+        return [str(x) if type(x) is int else enc(x) for x in value]
     if isinstance(value, dict):
         return {k: enc(v) for k, v in value.items()}
     if isinstance(value, Lattice):

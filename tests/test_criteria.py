@@ -458,6 +458,52 @@ def test_realize_witness_zero_sublattice(U):
     assert sub.rank == 0
 
 
+def _eps_bound_reference(host, witness):
+    """realize_witness's bound with sum |y_i.y_j| taken from Gram rows, as
+    before it read the pairings off the complement's Gram."""
+    x = la.int_vector(witness.base)
+    ys = [la.int_vector(y) for _, y in witness.terms]
+    rows = [gram_row(host, v) for v in (x, *ys)]
+    cross = sum(abs(la.dot(rows[0], y)) for y in ys)
+    pairwise = sum(abs(la.dot(r, y)) for r in rows[1:] for y in ys)
+    return min(Fraction(1), Fraction(la.dot(rows[0], x), 2 * cross + pairwise + 1))
+
+
+def _transvect(host, v, u, a):
+    """The Eichler transvection E(u, a) of v, for isotropic u and u.a = 0."""
+    va, vu, half = inner(host, v, a), inner(host, v, u), norm(host, a) // 2
+    return tuple(x + va * p - vu * q - half * vu * p for x, p, q in zip(v, u, a))
+
+
+def test_realize_witness_eps_bound_matches_gram_rows(K3, U3):
+    # seeded sublattices of U3 and of K3, the K3 ones moved by two Eichler
+    # transvections as the benchmark's realize inputs are
+    rng = random.Random(2404)
+    cases = []
+    for _ in range(40):
+        rows = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(rng.randint(0, 3))]
+        cases.append((U3, Sublattice.from_generators(U3, rows)))
+    for _ in range(60):
+        rows = [v22(*[0] * i, 1) for i in rng.sample(range(2, 22), rng.randint(1, 5))]
+        for block in (0, 1):
+            u = v22(*[0] * (2 * block), 1)
+            # a: the other U block's e plus a sparse E8 + E8 part, so u.a = 0
+            a = v22(*[0] * (2 - 2 * block), 1)[:6] + tuple(
+                rng.choice((-1, 0, 0, 0, 1)) for _ in range(16))
+            rows = [_transvect(K3, v, u, a) for v in rows]
+        cases.append((K3, Sublattice.from_generators(K3, rows)))
+    checked = offdiagonal = 0
+    for host, e in cases:
+        rep = realizable(host, e)
+        if not rep.ok:
+            continue
+        assert rep.eps_bound == _eps_bound_reference(host, rep.witness), e.basis
+        checked += 1
+        ys = [y for _, y in rep.witness.terms]
+        offdiagonal += any(inner(host, y, z) for i, y in enumerate(ys) for z in ys[:i])
+    assert checked >= 90 and offdiagonal >= 90
+
+
 def _vertex_positivity(host, witness, bound):
     # v.v > 0 at every sign pattern t_i = +-1 with eps = bound/2, checked in
     # integers: multiply through by the squared denominator

@@ -424,12 +424,56 @@ def test_find_isotropic_quadratic_scan_against_the_box():
     assert {"tuple", "Unknown"} <= answers
 
 
+def _first_box_hit(gram, height):
+    """The first x, in product order, of the shells max|x_i| = s with
+    x.x = 0, unnormalized; the form is summed entry by entry."""
+    n = len(gram)
+    for s in range(1, height + 1):
+        for x in product(range(-s, s + 1), repeat=n):
+            if (s in x or -s in x) and not sum(
+                x[i] * gram[i][j] * x[j] for i in range(n) if x[i] for j in range(n)
+            ):
+                return x
+    return None
+
+
+def test_find_isotropic_two_coordinate_scan_against_the_box():
+    # stepping the second-to-last coordinate u over one Gram row per outer
+    # prefix z returns what the full box scan returns; the first hit must
+    # count through each arm of the shell test (z holds +-s, |u| = s, |t| = s)
+    rng = random.Random(2403)
+    forms = []
+    for i in range(3000):
+        rank = (2, 2, 3, 3, 4, 4, 5)[i % 7]
+        height = rng.randint(1, (3, 3, 3, 2, 1)[rank - 1])
+        gram = (_random_form(rng, rank) if i % 3 == 0
+                else _conjugated_diagonal(rng, rank, last_negative=i % 3 == 1))
+        forms.append((gram, height))
+    seen = set()
+    for gram, height in forms:
+        lat = Lattice(gram)
+        got = find_isotropic(lat, height)
+        assert got == _find_isotropic_reference(lat, height), (gram, height)
+        n, c = lat.rank, gram[-1][-1]
+        if type(got) is not tuple or signature(lat)[2] or 0 in (gram[i][i] for i in range(n)):
+            continue
+        x = _first_box_hit(gram, height)
+        s = max(map(abs, x))
+        arm = "z" if s in map(abs, x[:-2]) else "u" if abs(x[-2]) == s else "t"
+        seen.add((arm, "rank 2" if n == 2 else "c < 0" if c < 0 else "c > 0"))
+    assert {"z", "u", "t"} == {arm for arm, _ in seen}
+    assert {"rank 2", "c < 0", "c > 0"} == {kind for _, kind in seen}
+    assert ("u", "rank 2") in seen and ("u", "c < 0") in seen
+
+
 def test_find_isotropic_forms_one_gram_row_per_prefix(monkeypatch):
     lat = from_diagonal([1, 1, 1, -7])  # anisotropic over Q_2
     real, calls = la.vecmat, []
     monkeypatch.setattr(la, "vecmat", lambda v, m: calls.append(len(v)) or real(v, m))
     assert find_isotropic(lat, height=3) == Unknown(3)
-    assert len(calls) == 3**3 + 5**3 + 7**3 and set(calls) == {3}
+    # one row per outer prefix z in [-s, s]^2; the last two coordinates are
+    # stepped and solved for without a row of their own
+    assert len(calls) == 3**2 + 5**2 + 7**2 and set(calls) == {2}
 
 
 # --- root_slice -----------------------------------------------------------

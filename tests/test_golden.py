@@ -11,12 +11,25 @@ that changes any emitted document fails here. To print the current hashes
 import hashlib
 import json
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from k3lag import intlinalg as la
+from k3lag import cli
+from k3lag import serialize as ser
 from k3lag.cli import main
-from k3lag.lattice import Sublattice, direct_sum, e8_lattice, hyperbolic_plane
+from k3lag.enumeration import Unknown, find_isotropic
+from k3lag.exact import GaussianRational
+from k3lag.lattice import (
+    FormalVector,
+    Lattice,
+    Sublattice,
+    direct_sum,
+    e8_lattice,
+    hyperbolic_plane,
+)
 from k3lag.sampling import sample_trials
 
 U3_GRAM = [
@@ -67,6 +80,27 @@ def _k3_vector(*coords):
     return [str(x) for x in coords] + ["0"] * (22 - len(coords))
 
 
+def _k3_sparse(entries):
+    """A K3 vector from {coordinate: value}, as decimal strings."""
+    return [str(entries.get(i, 0)) for i in range(22)]
+
+
+# a rank-3 saturated sublattice of K3 moved by two Eichler transvections, as
+# the benchmark's `saturated` realize inputs are: its complement has no
+# positive diagonal entry, so find_positive returns a basis pair
+TRANSVECTED = [_k3_sparse({2: -1, 17: 1}), _k3_sparse({0: -1, 20: 1}), _k3_sparse({12: 1})]
+
+# the diagonal form <5, -1, 3, 2>, isotropic over Q, in the basis of the rows
+# of a unimodular M (a seeded benchmark `info` input): the box scan finds no
+# vector up to height 6
+ISOTROPIC_DIAGONAL = (5, -1, 3, 2)
+ISOTROPIC_BASIS = ((1, 0, 0, -1), (-2, 1, 1, 1), (0, 0, 1, 0), (0, 0, 0, 1))
+ISOTROPIC_GRAM = [
+    [sum(a * d * b for a, d, b in zip(u, ISOTROPIC_DIAGONAL, v)) for v in ISOTROPIC_BASIS]
+    for u in ISOTROPIC_BASIS
+]
+
+
 # name -> (argv, payload or a function of the runner giving it)
 CASES = {
     "sample_5_seed_42": (
@@ -114,6 +148,8 @@ CASES = {
         ["info", "--height", "2"],
         {"lattice": _gram([[-3, 0, 3, 0, 0], [0, -5, 6, 4, 4], [3, 6, -13, -4, -4],
                            [0, 4, -4, -1, -2], [0, 4, -4, -2, -2]])}),
+    # Unknown at height 2 on an isotropic form: the scan runs to its end
+    "info_unknown_isotropic": (["info", "--height", "2"], {"lattice": _gram(ISOTROPIC_GRAM)}),
     "info_negative_definite": (
         ["info", "--height", "2"], {"lattice": _gram([[-2, 1], [1, -4]])}),
     # U + <0>: the isotropic vector comes from the radical
@@ -123,6 +159,13 @@ CASES = {
     "realize_not_saturated": (
         ["realize"],
         {"host": {"gram": U3_GRAM}, "sublattice": [["2", "0", "0", "0", "0", "0"]]}),
+    "realize_transvected": (["realize"], {"host": "K3", "sublattice": TRANSVECTED}),
+    "realize_not_proper": (
+        ["realize"], {"host": {"gram": U3_GRAM}, "sublattice": _gram(la.identity(6))["gram"]}),
+    # U^3 and two nodes of the first E8: the complement, inside E8 + E8, has
+    # no positive vector
+    "realize_no_positive": (
+        ["realize"], {"host": "K3", "sublattice": [_k3_vector(*([0] * i + [1])) for i in range(8)]}),
     "realize_degenerate_host": (
         ["realize"],
         {"host": _gram([[0, 1, 0], [1, 0, 0], [0, 0, 0]]), "sublattice": [["1", "0", "0"]]}),
@@ -225,6 +268,21 @@ GOLDEN = {
     'sample_5_seed_42': (
         '3177cf65a37a3a81e554fb028f058c62e556e3aae045fba95ecbfa08b7bd9149',
         '2a39521dcab4784d9ff297bb1a581002d5a9975ad6d62bd78b1007b205a4737b'),
+    # the next four were recorded before saturate read saturation off its
+    # pivots, find_positive asked for the signature last and the box scan
+    # solved for two coordinates
+    'info_unknown_isotropic': (
+        'b15b6b9d3673b4dd363d9fdd9ba0b15bf24847f799e6c1c03e6126ce00aa9d47',
+        '2aeb7de3afb02d535ec5e6a86140ecf49cc936b493aacea53c12275eeea3e3ff'),
+    'realize_no_positive': (
+        '4a51dee492ee4de2134aca89f51802c3beead07b30b707c3eff5fc3e61fa45a7',
+        '0334c8d54ce35b6810b9381bb655a56df077e8dce9ab31f526b8320069f42119'),
+    'realize_not_proper': (
+        'a359f3c2826a9af16cf27d78b4b44e841786f58ebe4fa793e735754d4c36ec97',
+        '0334c8d54ce35b6810b9381bb655a56df077e8dce9ab31f526b8320069f42119'),
+    'realize_transvected': (
+        '0d28efae7485de683e02210a863d028bfae5f5d10675756d7c50f346dfd2f468',
+        '0334c8d54ce35b6810b9381bb655a56df077e8dce9ab31f526b8320069f42119'),
     'syz_k3': (
         '8bb223221deacba21e40b620a41d63429e885e1fb97e3178b72ed93bc92ff090',
         '63fd171074b0273e3bd3d1722fa8747b3021c6777d503d864571a4fb1607c441'),
@@ -267,6 +325,72 @@ def test_golden_document(name, tmp_path, capsys):
     assert _hashes(name, _runner(tmp_path, capsys)) == GOLDEN[name]
 
 
+def _enc_reference(value):
+    """serialize.enc as it was before list entries that are ints were
+    formatted in place: one recursive call per entry."""
+    if value is None or isinstance(value, (bool, str, float)):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, (tuple, list)):
+        return [_enc_reference(x) for x in value]
+    if isinstance(value, dict):
+        return {k: _enc_reference(v) for k, v in value.items()}
+    if isinstance(value, Lattice):
+        return {"gram": _enc_reference(value.gram)}
+    if isinstance(value, Sublattice):
+        return _enc_reference(value.basis)
+    if isinstance(value, GaussianRational):
+        return {"re": _enc_reference(Fraction(value.re)), "im": _enc_reference(Fraction(value.im))}
+    if isinstance(value, FormalVector):
+        terms = [{"marker": i, "vector": v} for i, v in value.terms]
+        return _enc_reference({"base": value.base, "eps": value.eps, "terms": terms})
+    raise TypeError(f"no wire form for {type(value).__name__}")
+
+
+def test_enc_matches_the_reference(tmp_path, capsys, monkeypatch):
+    mixed = [True, False, None, "7", 2.5, Fraction(-3, 4), 0, -12, (1, False), [None, (True, 3)]]
+    for value in (mixed, tuple(mixed), {"a": mixed, "b": (True, 1)}):
+        assert ser.enc(value) == _enc_reference(value)
+    assert ser.enc(mixed) == [True, False, None, "7", 2.5, "-3/4", "0", "-12", ["1", False],
+                              [None, [True, "3"]]]
+    # every document the golden cases emit, compared where the CLI encodes it
+    calls = []
+
+    class Checked:
+        def __getattr__(self, name):
+            return getattr(ser, name)
+
+        @staticmethod
+        def enc(value):
+            calls.append(value)
+            got = ser.enc(value)
+            assert got == _enc_reference(value), value
+            return got
+
+    monkeypatch.setattr(cli, "ser", Checked())
+    run = _runner(tmp_path, capsys)
+    for name in sorted(CASES):
+        assert _hashes(name, run) == GOLDEN[name]
+    assert len(calls) > len(CASES)
+
+
+def test_unknown_isotropic_case_is_isotropic():
+    # the benchmark's independent Hasse-Minkowski test decides the diagonal
+    # form; the unimodular basis change keeps it, so Unknown is honest only
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import arith
+    finally:
+        sys.path.pop(0)
+    assert arith.diagonal_isotropic(ISOTROPIC_DIAGONAL)
+    assert abs(la.det(ISOTROPIC_BASIS)) == 1
+    lat = Lattice(la.freeze(ISOTROPIC_GRAM))
+    assert find_isotropic(lat, 2) == Unknown(2)
+
+
 def test_package_built_bases_are_hnf(tmp_path, capsys, monkeypatch):
     # Sublattice._from_hnf trusts its basis; check that trust on every golden
     # case and 50 sample trials
@@ -293,7 +417,6 @@ if __name__ == "__main__":
     import io
     import tempfile
     from contextlib import redirect_stdout
-    from pathlib import Path
 
     class _Capture:
         def __init__(self):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from k3lag import enumeration
 from k3lag import intlinalg as la
 from k3lag.criteria import lag_lattice
 from k3lag.enumeration import find_positive
@@ -767,6 +768,31 @@ def test_find_positive_matches_the_full_diagonalization():
         lattices.append(lag_lattice(k3, w).as_lattice())
     for lat in lattices:
         assert find_positive(lat) == _find_positive_reference(lat), lat.gram
+
+
+def test_find_positive_asks_the_signature_last(monkeypatch):
+    # a positive basis vector or pair answers without a diagonalization; the
+    # signature is asked, and decides None, only when neither exists
+    calls = []
+    monkeypatch.setattr(enumeration, "signature", lambda lat: calls.append(lat) or signature(lat))
+    k3 = k3_lattice()
+    rng = random.Random(2402)
+    lattices = [Lattice(g) for g, _ in FALLBACK_POSITIVE] + [Lattice(g) for g in _diagonal_grams()]
+    for _ in range(100):
+        lattices.append(lag_lattice(k3, sample_positive_primitive(rng, k3)).as_lattice())
+    seen = set()
+    for lat in lattices:
+        g, n = lat.gram, lat.rank
+        early = any(g[i][i] > 0 for i in range(n)) or any(
+            g[i][i] + g[j][j] + 2 * s * g[i][j] > 0
+            for i in range(n) for j in range(i + 1, n) for s in (1, -1)
+        )
+        del calls[:]
+        got = find_positive(lat)
+        assert got == _find_positive_reference(lat), g
+        assert calls == ([] if early else [lat]), g
+        seen.add("early" if early else "none" if got is None else "pivot")
+    assert seen == {"early", "pivot", "none"}
 
 
 def test_integral_row_and_rational_direction_match_fraction_reference(monkeypatch):

@@ -138,6 +138,65 @@ def test_saturate_examples(U):
     assert saturate(U, s3) == s3
 
 
+def _saturate_reference(lat, sub):
+    """saturate as it was before it read saturation off its pivots:
+    kernel(kernel(B)) over the standard dot product, four eliminations."""
+    if sub.rank == 0:
+        return sub
+    perp = la.int_kernel(sub.basis, lat.rank)
+    return Sublattice._from_hnf(lat, la.int_kernel(perp, lat.rank))
+
+
+def _seeded_sublattices(rng, lat, count):
+    """Sublattices of lat of every rank from 0 to full: sparse integer rows,
+    half of them with one row scaled by 2 or 3."""
+    n = lat.rank
+    for i in range(count):
+        if i % 25 == 0:
+            k = 0
+        elif i % 25 == 1:
+            k = n
+        else:
+            k = rng.randint(1, n)
+        rows = []
+        for _ in range(k):
+            row = [0] * n
+            for j in rng.sample(range(n), rng.randint(1, min(n, 3))):
+                row[j] = rng.choice((-2, -1, 1, 1, 2))
+            rows.append(row)
+        if rows and rng.random() < 0.5:
+            rows[0] = [rng.choice((2, 3)) * x for x in rows[0]]
+        yield Sublattice.from_generators(lat, rows)
+
+
+def test_saturate_matches_kernel_of_kernel(monkeypatch):
+    hosts = [
+        hyperbolic_plane(),
+        direct_sum(hyperbolic_plane(), from_diagonal([-2])),
+        e8_lattice(),
+        k3_lattice(),
+    ]
+    real, calls = la.hnf_with_transform, []
+    monkeypatch.setattr(
+        la, "hnf_with_transform", lambda rows, n: calls.append(n) or real(rows, n)
+    )
+    rng = random.Random(2401)
+    seen = set()
+    for lat in hosts:
+        for sub in _seeded_sublattices(rng, lat, 150):
+            expected = _saturate_reference(lat, sub)
+            del calls[:]
+            got = saturate(lat, sub)
+            assert got == expected, (lat.rank, sub.basis)
+            if got == sub and sub.rank:
+                assert len(calls) == 1  # the unit-pivot exit
+            shape = "zero" if not sub.rank else "full" if sub.rank == lat.rank else "part"
+            seen.add((shape, got == sub))
+    assert seen == {
+        ("zero", True), ("part", True), ("part", False), ("full", True), ("full", False)
+    }
+
+
 def test_orth_complement_examples(U):
     e = Sublattice.from_generators(U, [(1, 0)])
     assert orth_complement(U, e).basis == ((1, 0),)
