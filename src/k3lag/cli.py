@@ -328,13 +328,6 @@ def _run_verify(command: str, spec: Command, values: dict, result: dict):
 # verify checks beyond recomputation: (result, failures, **decoded input)
 
 
-def _isometry(result: dict, n: int) -> Isometry:
-    rows = ser.dec_matrix(_field(result, "isometry", "result"), "isometry", n)
-    if len(rows) != n:
-        raise ser.InputError("bad_shape", f"isometry: expected {n} rows, got {len(rows)}")
-    return Isometry(rows)
-
-
 def _check_classify(result: dict, failures: list, lat: Lattice) -> None:
     if result.get("witness") is not None:
         w = ser.dec_ivec(result["witness"], "witness", lat.rank)
@@ -377,7 +370,11 @@ def _check_syz(result: dict, failures: list, host, w) -> None:
 def _check_eichler(result: dict, failures: list, host, w, has_target=True) -> None:
     """The isometry preserves the form and carries w to its target e1 + d*f1."""
     d = ser.dec_int(_field(result, "d", "result"), "d")
-    g = _isometry(result, host.rank)
+    n = host.rank
+    rows = ser.dec_matrix(_field(result, "isometry", "result"), "isometry", n)
+    if len(rows) != n:
+        raise ser.InputError("bad_shape", f"isometry: expected {n} rows, got {len(rows)}")
+    g = Isometry(rows)
     canonical = canonical_target(host.rank, d)
     target = canonical
     if has_target:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Optional, Tuple
 
 from . import intlinalg as la
@@ -115,7 +116,6 @@ def lag_lattice(host: Lattice, omega) -> Sublattice:
         # the extra ops read as more peak RSS and a deeper latency tail.
         rows = [la.integral_row(gram_row(host, omega.base))]
         rows += [la.integral_row(gram_row(host, y)) for _, y in omega.terms]
-        rows = [r for r in rows if any(r)]
         return Sublattice._from_hnf(host, la.int_kernel(rows, host.rank))
     om = la.integral_row(omega)
     if len(om) != host.rank:
@@ -134,7 +134,10 @@ def decompose_positive(
     """gamma = alpha + beta with both squares positive, alpha = m*x.
 
     m is the minimal positive integer making both parts positive, which
-    determinizes the choice of a sufficiently large multiple.
+    determinizes the choice of a sufficiently large multiple. beta^2 =
+    x2 m^2 - 2 gx m + g2 is convex in m, so when m = 1 fails the least m is
+    floor of its larger root (gx + sqrt(gx^2 - x2 g2)) / x2, plus one, and
+    floor(floor(t) / x2) = floor(t / x2) puts isqrt in place of sqrt.
     """
     host = sub.host
     gv = la.int_vector(gamma)
@@ -148,9 +151,7 @@ def decompose_positive(
         raise NotMember("gamma is not in the sublattice")
     gx = inner(host, gv, xv)
     g2 = norm(host, gv)
-    m = 1
-    while g2 - 2 * m * gx + m * m * x2 <= 0:
-        m += 1
+    m = 1 if g2 - 2 * gx + x2 > 0 else (gx + isqrt(gx * gx - x2 * g2)) // x2 + 1
     alpha = tuple(m * c for c in xv)
     beta = tuple(a - b for a, b in zip(gv, alpha))
     return alpha, beta, m
@@ -198,8 +199,6 @@ def split_radical(lat: Lattice) -> Tuple[Sublattice, Lattice, la.IntMatrix]:
     r = rad.rank
     if r == 0:
         comp_rows = la.identity(n)
-    elif r == n:
-        comp_rows = ()
     else:
         # complete the saturated radical to a basis of Z^n: with U*R^T in
         # HNF, the last n-r rows of (U^{-1})^T complement the radical

@@ -242,8 +242,6 @@ def find_isotropic(lat: Lattice, height: int = 10):
     """
     if height < 1:
         raise ValueError("height must be a positive integer")
-    if lat.rank == 0:
-        return None
     p, neg, zero = signature(lat)
     if zero:
         return radical(lat).basis[0]
@@ -284,7 +282,7 @@ def _slice_setup(lat: Lattice, w: IntVec) -> tuple:
     comp = orth_complement(lat, [w])
     rows = comp.basis[::-1]
     pd, dec = _definite(gram_matrix(lat, comp.basis))
-    den, adj = la.frac_inverse(pd) if rows else (1, ())
+    den, adj = la.frac_inverse(pd)
     d, sol = la.gcd_combination(gram_row(lat, w))  # d >= 1: w.w > 0, so w's row != 0
     gs = gram_row(lat, sol)
     ts = la.matvec(rows, gs)

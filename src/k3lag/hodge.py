@@ -103,32 +103,20 @@ def validate_period(p: PeriodData) -> Tuple[str, ...]:
     return tuple(checked)
 
 
-def _require_rational_omega(p: PeriodData) -> None:
+def phase_square(p: PeriodData, gamma, root_choice: int = 1) -> RotationPhase:
+    """c = gamma.theta and zeta^2 = conj(c)/c in lowest terms."""
     if not p.omega_is_rational:
         raise FormalOmegaUnsupported(
             "phase and rotation operations need a rational omega"
         )
-
-
-def _require_lagrangian(p: PeriodData, gamma) -> None:
+    validate_period(p)
     val = inner(p.host, gamma, p.omega)
     if val != 0:
         raise NotLagrangian(f"gamma.omega = {val} must be 0")
-
-
-def _phase_c(p: PeriodData, gamma) -> GaussianRational:
-    return GaussianRational(
+    c = GaussianRational(
         Fraction(inner(p.host, gamma, p.theta_re)),
         Fraction(inner(p.host, gamma, p.theta_im)),
     )
-
-
-def phase_square(p: PeriodData, gamma, root_choice: int = 1) -> RotationPhase:
-    """c = gamma.theta and zeta^2 = conj(c)/c in lowest terms."""
-    _require_rational_omega(p)
-    validate_period(p)
-    _require_lagrangian(p, gamma)
-    c = _phase_c(p, gamma)
     if c.is_zero():
         g2 = norm(p.host, gamma)
         raise TypeOneOne(

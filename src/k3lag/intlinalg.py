@@ -131,11 +131,6 @@ def gcd_combination(values: Sequence[int]) -> Tuple[int, IntVector]:
     for i, val in enumerate(values):
         if val == 0:
             continue
-        if g == 0:
-            g = abs(val)
-            coeffs = [0] * n
-            coeffs[i] = 1 if val > 0 else -1
-            continue
         gg, x, y = xgcd(g, val)
         coeffs = [x * c for c in coeffs]
         coeffs[i] += y
@@ -258,8 +253,6 @@ def solve_left(
     """Integer x with x . rows = target, or None: a logged elimination, replayed."""
     if len(target) != ncols:
         raise ValueError("solve_left shape mismatch")
-    if not rows:
-        return () if not any(target) else None
     h = [list(map(int, r)) for r in rows]
     log: list = []
     _echelon(h, ncols, log)

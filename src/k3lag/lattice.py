@@ -341,13 +341,10 @@ def saturate(lat: Lattice, sub: Sublattice) -> Sublattice:
     if sub.host != lat:
         raise RankMismatch("sublattice host differs from given lattice")
     k = sub.rank
-    if k == 0:
-        return sub
     h, u = la.hnf_with_transform(la.transpose(sub.basis), k)
     if all(h[i][i] == 1 for i in range(k)):
         return sub
-    perp = la.hnf(u[k:], lat.rank)
-    return Sublattice._from_hnf(lat, la.int_kernel(perp, lat.rank))
+    return Sublattice._from_hnf(lat, la.int_kernel(u[k:], lat.rank))
 
 
 def orth_complement(lat: Lattice, sub) -> Sublattice:

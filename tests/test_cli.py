@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -157,6 +158,38 @@ def test_decompose_not_lagrangian_exits_1(capsys, tmp_path):
     code, doc = run_cli(capsys, ["decompose"], payload, tmp_path)
     assert code == 1
     assert doc["error"]["code"] == "not_lagrangian"
+
+
+def test_decompose_with_a_twelve_digit_gamma_takes_m_off_the_quadratic(tmp_path):
+    # gamma = N (e1 - f1 + e2 - f2) against omega = e1 + f1: counting m up
+    # from 1 would take about N * 1.4e-7 s, so run it in a child under a timeout
+    n = 10**12
+    payload = {
+        "host": "K3",
+        "omega": ["1/1", "1/1"] + ["0/1"] * 20,
+        "gamma": [str(n), str(-n), str(n), str(-n)] + ["0"] * 18,
+    }
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(k3lag.__file__))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lag.cli", "decompose", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stdout
+    doc = json.loads(proc.stdout)
+    assert doc["result"]["verified"] is True
+    assert elapsed < 1.0
+    # alpha = m (e2 + f2), and (gamma - alpha)^2 = 2 m^2 - 4 N^2 > 0 first at m
+    alpha = doc["result"]["certificate"]["terms"][0]["class"]
+    m = int(alpha[2])
+    assert alpha == ["0", "0", str(m), str(m)] + ["0"] * 18
+    assert 2 * (m - 1) ** 2 <= 4 * n * n < 2 * m * m
 
 
 def test_realize_roundtrip(capsys, tmp_path):

@@ -42,6 +42,7 @@ from k3lag.lattice import (
     hyperbolic_plane,
     inner,
     norm,
+    orth_complement,
     signature,
 )
 from k3lag import criteria
@@ -73,6 +74,16 @@ def test_lag_lattice_formal(U3):
     assert sub == Sublattice.from_generators(
         U3, [v6(1, 0), v6(0, 0, 1), v6(0, 0, 0, 1), v6(0, 0, 0, 0, 1, -1)]
     )
+
+
+def test_lag_lattice_formal_with_a_zero_term(U3, K3):
+    # a zero term vector constrains nothing
+    fv = FormalVector(v6(0, 0, 0, 0, 1, 1), Fraction(1, 2), ((1, v6(1, 0)), (2, v6())))
+    assert lag_lattice(U3, fv) == orth_complement(U3, [v6(0, 0, 0, 0, 1, 1), v6(1, 0)])
+    fv = FormalVector(v22(1, 1), Fraction(1, 3), ((1, v22()),))
+    assert lag_lattice(K3, fv) == orth_complement(K3, [v22(1, 1)])
+    fv = FormalVector(v22(), Fraction(1, 3), ((1, v22(0, 0, 1, 1)), (2, v22())))
+    assert lag_lattice(K3, fv) == orth_complement(K3, [v22(0, 0, 1, 1)])
 
 
 def test_lag_lattice_k3_signature(K3):
@@ -144,6 +155,51 @@ def test_decompose_positive_errors(U, U3):
         decompose_positive(sub, v6(0, 0, 0, 0, 1, 0), v6(1, 1))
 
 
+def _decompose_m_reference(g2, gx, x2):
+    """The least m >= 1 with (gamma - m x)^2 = g2 - 2 m gx + m^2 x2 > 0, counted."""
+    m = 1
+    while g2 - 2 * m * gx + m * m * x2 <= 0:
+        m += 1
+    return m
+
+
+def test_decompose_positive_m_matches_the_counting_loop():
+    # Gram [[x2, gx], [gx, g2]] realizes any triple with x = e1, gamma = e2
+    rng = random.Random(2503)
+    triples = [(0, 0, 1), (-1, 0, 1), (0, 1, 1), (-8, 0, 2), (-2, -1, 1), (1, 1, 1)]
+    for _ in range(10_000):
+        x2 = rng.randint(1, rng.choice((3, 40)))
+        gx = rng.randint(-400, 400)
+        g2 = rng.randint(-4000, 4000) if rng.random() < 0.7 else gx * gx // x2 - rng.randint(-3, 3)
+        triples.append((g2, gx, x2))
+    for g2, gx, x2 in triples:
+        full = Sublattice.full(Lattice(((x2, gx), (gx, g2))))
+        alpha, beta, m = decompose_positive(full, (0, 1), (1, 0))
+        assert m == _decompose_m_reference(g2, gx, x2), (g2, gx, x2)
+        assert alpha == (m, 0) and beta == (-m, 1)
+
+
+def test_decompose_positive_m_on_seeded_sublattices(U, K3):
+    # x from the U blocks orthogonal to omega, with a little E8 noise on K3
+    rng = random.Random(2504)
+    for host, omega in ((U, None), (K3, v22(1, 1))):
+        sub = Sublattice.full(host) if omega is None else lag_lattice(host, omega)
+        done = 0
+        while done < 150:
+            if omega is None:
+                x = (rng.randint(-5, 5), rng.randint(-5, 5))
+            else:
+                x = v22(0, 0, *(rng.randint(-5, 5) for _ in range(4)),
+                        *(rng.choice((0, 0, 0, 1, -1)) for _ in range(16)))
+            if norm(host, x) <= 0:
+                continue
+            gamma = sub.to_host([rng.randint(-40, 40) for _ in range(sub.rank)])
+            _, _, m = decompose_positive(sub, gamma, x)
+            want = _decompose_m_reference(norm(host, gamma), inner(host, gamma, x), norm(host, x))
+            assert m == want
+            done += 1
+
+
 def test_positive_from_isotropic_examples(U):
     full = Sublattice.full(U)
     assert positive_from_isotropic(full, (1, 0), (0, 1)) == ((1, 1), 1)
@@ -196,6 +252,18 @@ def test_split_radical_reassembly():
         for r in rad.basis:
             for c in rows:
                 assert inner(deg, r, c) == 0
+
+
+def test_split_radical_and_classify_on_zero_grams():
+    # the radical is everything: its identity basis completes to no rows
+    for n in range(1, 5):
+        lat = Lattice(tuple((0,) * n for _ in range(n)))
+        rad, n_lat, rows = split_radical(lat)
+        assert rad.basis == la.identity(n)
+        assert n_lat.rank == 0 and rows == ()
+        rep = classify(lat)
+        assert rep.case == "Split" and rep.equal and rep.roots_generate
+        assert rep.rad.basis == la.identity(n) and rep.n_basis == ()
 
 
 def test_split_radical_rejects_positive(U):

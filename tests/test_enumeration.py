@@ -486,6 +486,16 @@ def test_root_slice_fixture(U_minus2, U):
     assert root_slice(U_minus2, (3, 2, 1), 1) == []
 
 
+def test_root_slice_on_rank_one_hosts():
+    # w's complement is the zero lattice: an empty Gram, inverted over den 1
+    for a in (1, 2, 6):
+        lat = from_diagonal([a])
+        for bound in (1, 3, 10):
+            assert root_slice(lat, (1,), bound) == []
+        rows, pd, _, den = enumeration._slice_setup(lat, (1,))[:4]
+        assert rows == () and pd == () and den == 1
+
+
 def test_root_slice_requires_positive(U_minus2):
     with pytest.raises(NotPositive):
         root_slice(U_minus2, (0, 0, 1), 3)

@@ -28,6 +28,44 @@ def test_xgcd_divisible_convention():
     assert g == 6 and 12 * x + 18 * y == 6
 
 
+def _gcd_combination_reference(values):
+    """gcd_combination as it was with its own first-nonzero branch: the first
+    nonzero entry set g = |v| and coefficient sign(v) without calling xgcd."""
+    n = len(values)
+    coeffs = [0] * n
+    g = 0
+    for i, val in enumerate(values):
+        if val == 0:
+            continue
+        if g == 0:
+            g = abs(val)
+            coeffs = [0] * n
+            coeffs[i] = 1 if val > 0 else -1
+            continue
+        gg, x, y = la.xgcd(g, val)
+        coeffs = [x * c for c in coeffs]
+        coeffs[i] += y
+        g = gg
+    return g, tuple(coeffs)
+
+
+def test_gcd_combination_matches_the_first_nonzero_reference():
+    # xgcd(0, v) = (|v|, 0, sign v), so the general step starts g the same way
+    rng = random.Random(2501)
+    cases = [(), (0,), (0, 0, 0), (5,), (-5,), (0, -7), (0, 0, 4, 6), (-2, -4), (2, -4)]
+    for _ in range(3000):
+        n = rng.randint(0, 8)
+        bound = rng.choice((3, 30, 10**6))
+        cases.append(tuple(
+            0 if rng.random() < 0.4 else rng.randint(-bound, bound) for _ in range(n)
+        ))
+    for values in cases:
+        g, coeffs = la.gcd_combination(values)
+        assert (g, coeffs) == _gcd_combination_reference(values), values
+        assert g == gcd(*values)
+        assert sum(c * v for c, v in zip(coeffs, values)) == g
+
+
 def test_smith_regression_two_cycle():
     # used to ping-pong forever between two states
     m = [[-6, -2, 2, 1], [0, 6, -2, 1], [-1, 3, -3, 2], [-4, -2, -4, 6]]

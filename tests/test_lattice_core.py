@@ -197,6 +197,30 @@ def test_saturate_matches_kernel_of_kernel(monkeypatch):
     }
 
 
+def test_saturate_zero_and_scaled_sublattices():
+    # the zero sublattice goes through the one elimination like any other
+    for lat in (Lattice(()), from_diagonal([2]), k3_lattice()):
+        zero = Sublattice.zero(lat)
+        assert saturate(lat, zero) == zero
+    # one row scaled by 2 or 3: the kernel is taken of U's last rows as they are
+    rng = random.Random(2502)
+    scaled = 0
+    for lat in (from_diagonal([2]), k3_lattice()):
+        n = lat.rank
+        for _ in range(20):
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(1, n))]
+            if not any(rows[0]):
+                rows[0][0] = 1
+            factor = rng.choice((2, 3))
+            rows[0] = [factor * x for x in rows[0]]
+            sub = Sublattice.from_generators(lat, rows)
+            got = saturate(lat, sub)
+            assert got == _saturate_reference(lat, sub), (n, rows)
+            assert got.rank == sub.rank
+            scaled += got != sub
+    assert scaled >= 30
+
+
 def test_orth_complement_examples(U):
     e = Sublattice.from_generators(U, [(1, 0)])
     assert orth_complement(U, e).basis == ((1, 0),)
