@@ -38,7 +38,7 @@ from .enumeration import (
     short_vectors,
 )
 from .errors import LatticeError
-from .exact import GaussianRational, MarkerPoly
+from .exact import GaussianRational
 from .fibration import (
     NefWalkResult,
     SyzReport,

@@ -16,11 +16,12 @@ Library functions are called by their module-global names at call time and
 never stored in the table, so a tracer that rebinds those names sees every
 call.
 
-Exit codes: 0 success, 1 library error or failed verification, 2 malformed
-input (an unknown or missing command or flag, invalid JSON, a wrong type, a
-wrong-length vector or matrix row, an option out of range, an unreadable
---input or an unwritable --output), 3 honest Unknown (isotropic search
-height exhausted).
+Exit codes: 0 success, 1 library error (an answer too long to print among
+them) or failed verification, 2 malformed input (an unknown or missing
+command or flag, invalid JSON, a wrong type, an integer past the digit
+limit, a wrong-length vector or matrix row, an option out of range, an
+unreadable --input or an unwritable --output), 3 honest Unknown (isotropic
+search height exhausted).
 """
 from __future__ import annotations
 
@@ -41,8 +42,8 @@ from .criteria import (
 )
 from .eichler import canonical_form, canonical_target, witness_failures
 from .enumeration import Unknown, find_isotropic, find_positive, roots_generate
-from .errors import FormalOmegaUnsupported, InvalidPeriod, LatticeError, RankMismatch
-from .errors import TypeOneOne
+from .errors import AnswerTooLarge, FormalOmegaUnsupported, InvalidPeriod, LatticeError
+from .errors import RankMismatch, TypeOneOne
 from .exact import primitivize, rational_direction
 from .fibration import syz_witness
 from .hodge import PeriodData, phase_square
@@ -401,13 +402,14 @@ def _check_realize(result: dict, failures: list, host, sub) -> None:
     if not 0 < witness.eps < bound:
         failures.append("eps is not in (0, eps_bound)")
     # realize_witness's bound for the witness's own x, y_i, all scaled by d into Z
-    vecs = [witness.base] + [y for _, y in witness.terms]
+    vecs = witness.vectors
     d = lcm(*(c.denominator for v in vecs for c in v))
     g = gram_matrix(host, [[c.numerator * (d // c.denominator) for c in v] for v in vecs])
     rest = 2 * sum(map(abs, g[0][1:])) + sum(abs(x) for row in g[1:] for x in row[1:])
     if g[0][0] <= 0:
         failures.append("witness base square is not positive")
-    elif bound > 1 or bound * (rest + d * d) > g[0][0]:
+        return  # lag_lattice refuses a zero witness
+    if bound > 1 or bound * (rest + d * d) > g[0][0]:
         failures.append("eps_bound exceeds the bound of the witness")
     if lag_lattice(host, witness).basis != sub.basis:
         failures.append("witness joint kernel differs from the sublattice")
@@ -477,7 +479,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         output, spec = args.output, COMMANDS[args.command]
         echo, result, code = spec.run(**spec.decode(_fold(args, spec)))
-        doc = ser.enc({"command": args.command, "input": echo, "result": result})
+        try:
+            doc = ser.enc({"command": args.command, "input": echo, "result": result})
+        except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
+            raise AnswerTooLarge(max_digits=sys.get_int_max_str_digits())
     except ser.InputError as exc:
         doc, code = ser.error_document(exc.code, str(exc)), 2
     except LatticeError as exc:

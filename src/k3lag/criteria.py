@@ -104,7 +104,7 @@ def lag_lattice(host: Lattice, omega) -> Sublattice:
 
     A rational omega is cleared to d * omega, d > 0 (same kernel, same sign
     of the square), and this is its orthogonal complement. For a
-    FormalVector omega, x must be orthogonal to the base and every term.
+    FormalVector omega, x must be orthogonal to each of omega.vectors.
     """
     if isinstance(omega, FormalVector):
         if omega.rank != host.rank:
@@ -114,8 +114,7 @@ def lag_lattice(host: Lattice, omega) -> Sublattice:
         # Fraction Gram rows, cleared one by one: clearing the vectors first
         # is faster, but perfbench keeps every output, so on lattice_queries
         # the extra ops read as more peak RSS and a deeper latency tail.
-        rows = [la.integral_row(gram_row(host, omega.base))]
-        rows += [la.integral_row(gram_row(host, y)) for _, y in omega.terms]
+        rows = [la.integral_row(gram_row(host, v)) for v in omega.vectors]
         return Sublattice._from_hnf(host, la.int_kernel(rows, host.rank))
     om = la.integral_row(omega)
     if len(om) != host.rank:

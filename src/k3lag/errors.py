@@ -155,3 +155,9 @@ class DegenerateLattice(LatticeError):
     """Operation requires a nondegenerate ambient lattice."""
 
     code = "degenerate_lattice"
+
+
+class AnswerTooLarge(LatticeError):
+    """An integer in the answer has more decimal digits than the wire allows."""
+
+    code = "answer_too_large"

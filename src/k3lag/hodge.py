@@ -72,7 +72,7 @@ def validate_period(p: PeriodData) -> Tuple[str, ...]:
 
     Every identity is homogeneous, so theta_re and theta_im are cleared to
     integers over one shared denominator (their squares are compared) and
-    a rational omega over its own.
+    a rational omega over its own; a formal omega is checked vector by vector.
     """
     checked = []
     lat = p.host
@@ -87,19 +87,12 @@ def validate_period(p: PeriodData) -> Tuple[str, ...]:
     check("theta_re.theta_im = 0", inner(lat, tr, ti) == 0)
     check("theta_re^2 = theta_im^2", norm(lat, tr) == norm(lat, ti))
     check("theta.conj(theta) > 0", norm(lat, tr) + norm(lat, ti) > 0)
-    if p.omega_is_rational:
-        om = la.integral_row(p.omega)
-        check("omega != 0", any(om))
-        check("omega.theta_re = 0", inner(lat, om, tr) == 0)
-        check("omega.theta_im = 0", inner(lat, om, ti) == 0)
-        check("omega^2 > 0", norm(lat, om) > 0)
-    else:
-        om = p.omega
-        check("omega != 0", not om.is_zero())
-        check("omega.theta_re = 0", inner(lat, om, tr).is_zero())
-        check("omega.theta_im = 0", inner(lat, om, ti).is_zero())
-        # no positivity identity for a formal omega: signs of formal
-        # expressions are undefined
+    vecs = (la.integral_row(p.omega),) if p.omega_is_rational else p.omega.vectors
+    check("omega != 0", any(map(any, vecs)))
+    check("omega.theta_re = 0", all(inner(lat, v, tr) == 0 for v in vecs))
+    check("omega.theta_im = 0", all(inner(lat, v, ti) == 0 for v in vecs))
+    if p.omega_is_rational:  # the sign of a formal omega^2 is undefined
+        check("omega^2 > 0", norm(lat, vecs[0]) > 0)
     return tuple(checked)
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence, Tuple, Union
 
 from . import intlinalg as la
 from .errors import DegenerateLattice, RankMismatch
-from .exact import MarkerPoly, content, primitivize
+from .exact import content, primitivize
 
 # entries kept per memoized lattice function (signature, radical, Gram
 # inverse); least recently used lattices are dropped beyond it
@@ -66,8 +66,8 @@ class FormalVector:
     """x + eps * sum_i t_i y_i with formal markers t_i.
 
     The markers denote reals with {1, t_1, ..., t_m} linearly independent
-    over Q; pairings against a FormalVector are MarkerPoly values and vanish
-    iff all their coefficients do.
+    over Q, so z.v = z.x + sum_i (eps z.y_i) t_i vanishes iff z is orthogonal
+    to each of its vectors (x, y_1, ..., y_m), for every rational vector z.
     """
 
     base: QVec
@@ -93,10 +93,13 @@ class FormalVector:
     def rank(self) -> int:
         return len(self.base)
 
+    @property
+    def vectors(self) -> Tuple[QVec, ...]:
+        """(x, y_1, ..., y_m), the vectors whose pairings decide z.v = 0."""
+        return (self.base,) + tuple(y for _, y in self.terms)
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.base) and all(
-            all(c == 0 for c in v) for _, v in self.terms
-        )
+        return not any(map(any, self.vectors))
 
 
 def _qvec(v) -> QVec:
@@ -117,27 +120,12 @@ def gram_row(lat: Lattice, x: VectorLike) -> tuple:
     return la.vecmat(v, lat.gram)
 
 
-def inner(lat: Lattice, x, y):
-    """Exact pairing x.y; MarkerPoly when a FormalVector participates."""
-    fx = isinstance(x, FormalVector)
-    fy = isinstance(y, FormalVector)
-    if not fx and not fy:
-        xv = _coerce_vector(x, lat.rank)
-        yv = _coerce_vector(y, lat.rank)
-        val = la.dot(la.vecmat(xv, lat.gram), yv)
-        return val if isinstance(val, int) else Fraction(val)
-    f = x if fx else FormalVector(_coerce_vector(x, lat.rank), 1, ())
-    g = y if fy else FormalVector(_coerce_vector(y, lat.rank), 1, ())
-    if f.rank != lat.rank or g.rank != lat.rank:
-        raise RankMismatch("formal vector rank differs from lattice rank")
-    # (monomial, scale, vector) terms: the base, then eps * t_i * y_i
-    g_terms = [((), 1, g.base)] + [((j,), g.eps, w) for j, w in g.terms]
-    poly = MarkerPoly()
-    for m, a, v in [((), 1, f.base)] + [((i,), f.eps, v) for i, v in f.terms]:
-        row = gram_row(lat, v)
-        for n, b, w in g_terms:
-            poly = poly + MarkerPoly.term(a * b * la.dot(row, w), m + n)
-    return poly
+def inner(lat: Lattice, x: VectorLike, y: VectorLike):
+    """Exact pairing x.y (int for integer vectors)."""
+    xv = _coerce_vector(x, lat.rank)
+    yv = _coerce_vector(y, lat.rank)
+    val = la.dot(la.vecmat(xv, lat.gram), yv)
+    return val if isinstance(val, int) else Fraction(val)
 
 
 def gram_matrix(lat: Lattice, vectors: Sequence[VectorLike]) -> tuple:
@@ -146,7 +134,7 @@ def gram_matrix(lat: Lattice, vectors: Sequence[VectorLike]) -> tuple:
     return tuple(la.vecmat(gram_row(lat, v), cols) for v in vectors)
 
 
-def norm(lat: Lattice, x):
+def norm(lat: Lattice, x: VectorLike):
     """Self-intersection x.x, exact (int for integer vectors)."""
     return inner(lat, x, x)
 

@@ -1,16 +1,18 @@
 """JSON wire format.
 
-All integers travel as decimal strings (no precision ceiling), rationals as
-"p/q" strings, Gaussian rationals as {re, im} objects, Gram matrices and
-vectors as arrays of decimal strings. One encoder, enc, turns library values
-into that form (canonical: keys are sorted at dump time); the decoders
-validate types and, given a length, the length of every vector before any
-computation and raise InputError with a machine-readable code.
+All integers travel as decimal strings of at most
+sys.get_int_max_str_digits() digits, rationals as "p/q" strings, Gaussian
+rationals as {re, im} objects, Gram matrices and vectors as arrays of
+decimal strings. One encoder, enc, turns library values into that form
+(canonical: keys are sorted at dump time); the decoders validate types and,
+given a length, the length of every vector before any computation and raise
+InputError with a machine-readable code.
 """
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .exact import GaussianRational
@@ -73,9 +75,17 @@ def enc(value):
     raise TypeError(f"no wire form for {type(value).__name__}")
 
 
+def _too_large(what: str) -> InputError:
+    limit = sys.get_int_max_str_digits()  # int() and Fraction() refuse longer strings
+    return InputError("integer_too_large", f"{what}: an integer has more than {limit} digits")
+
+
 def dec_int(value, what: str = "integer") -> int:
     if isinstance(value, str) and _INT_RE.match(value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:
+            raise _too_large(what)
     raise InputError("bad_integer", f"{what}: expected a decimal string, got {value!r}")
 
 
@@ -85,6 +95,8 @@ def dec_frac(value, what: str = "rational") -> Fraction:
             return Fraction(value)
         except ZeroDivisionError:
             raise InputError("bad_rational", f"{what}: zero denominator")
+        except ValueError:
+            raise _too_large(what)
     raise InputError("bad_rational", f"{what}: expected 'p/q' string, got {value!r}")
 
 
@@ -179,6 +191,8 @@ def loads(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("bad_json", f"input is not valid JSON: {exc}")
+    except RecursionError:
+        raise InputError("bad_json", "input is nested too deeply")
     if not isinstance(doc, dict):
         raise InputError("bad_json", "top-level input must be an object")
     return doc

@@ -440,6 +440,18 @@ def test_verify_realize_rejects_zero_witness_base(capsys, tmp_path):
     assert vdoc["result"]["failures"] == ["witness base square is not positive"]
 
 
+def test_verify_realize_rejects_all_zero_witness(capsys, tmp_path):
+    # lag_lattice refuses a zero witness, so verify stops at its base
+    code, doc = run_cli(capsys, ["realize"], {"host": "K3", "sublattice": E8_BLOCK}, tmp_path)
+    witness = doc["result"]["witness"]
+    witness["base"] = ["0"] * 22
+    for term in witness["terms"]:
+        term["vector"] = ["0"] * 22
+    code, vdoc = run_cli(capsys, ["verify"], doc, tmp_path)
+    assert code == 1 and vdoc["result"]["ok"] is False
+    assert vdoc["result"]["failures"] == ["witness base square is not positive"]
+
+
 @pytest.mark.parametrize(
     "fields, failure",
     [
@@ -533,3 +545,43 @@ def test_flag_values_decoded_like_documents(capsys, tmp_path, args, error):
     code, doc = run_cli(capsys, args, _decompose_payload(["1", "-2", "0", "0", "0", "0"]),
                         tmp_path)
     assert code == 2 and doc["error"]["code"] == error
+
+
+def _k3_w(*entries):
+    return json.dumps({"host": "K3", "w": list(entries) + ["0"] * (22 - len(entries))})
+
+
+DIGITS = 4300  # CPython's default int <-> str limit, set in the child's environment
+E2200 = 10**2200
+
+
+@pytest.mark.parametrize(
+    "command, stdin, exit_code, error",
+    [
+        ("eichler", _k3_w("1" * (DIGITS + 1), "1"), 2, "integer_too_large"),
+        ("syz", _k3_w("1" * (DIGITS + 1) + "/1", "1"), 2, "integer_too_large"),
+        ("syz", _k3_w("1/" + "1" * (DIGITS + 1), "1"), 2, "integer_too_large"),
+        ("verify", "[" * 200_000, 2, "bad_json"),
+        # d = w.w / 2 = 10^4400 + 10^2200 has 4401 digits
+        ("eichler", _k3_w(str(E2200), str(E2200 + 1)), 1, "answer_too_large"),
+        # exactly at the limit: a non-saturated sublattice, and w = (1/q, 1/q)
+        ("realize", json.dumps({"sublattice": [[str(10 ** (DIGITS - 1))] + ["0"] * 21]}), 0, None),
+        ("syz", _k3_w("1/" + "1" * DIGITS, "1/" + "1" * DIGITS), 0, None),
+    ],
+    ids=["int_too_long", "numerator_too_long", "denominator_too_long", "deep_json",
+         "answer_too_long", "int_at_limit", "denominator_at_limit"],
+)
+def test_digit_limit_and_nesting_end_in_a_document(command, stdin, exit_code, error):
+    # a child process, so the digit limit is the one the environment sets
+    src = os.path.dirname(os.path.dirname(k3lag.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3lag.cli", command],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS=str(DIGITS)),
+    )
+    assert proc.returncode == exit_code and proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc.get("error", {}).get("code") == error

@@ -84,6 +84,32 @@ def test_validate_mixed_denominators(U3, toy):
     assert len(validate_period(p)) == 7
 
 
+def test_validate_formal_omega(U3):
+    # theta = (e1+f1) + i(e2+f2); a formal omega is checked through its base
+    # and every term, and has no positivity identity
+    def period(base, *terms):
+        fv = FormalVector(base, Fraction(1, 2), tuple(enumerate(terms, 1)))
+        return PeriodData(U3, v6(1, 1), v6(0, 0, 1, 1), fv)
+
+    assert validate_period(period(v6(0, 0, 0, 0, 1, 1), v6(0, 0, 0, 0, 1, -1))) == (
+        "theta_re.theta_im = 0",
+        "theta_re^2 = theta_im^2",
+        "theta.conj(theta) > 0",
+        "omega != 0",
+        "omega.theta_re = 0",
+        "omega.theta_im = 0",
+    )
+    for p, reason in [
+        (period(v6(0, 0, 0, 0, 1, 1), v6(1, 0)), "omega.theta_re = 0"),
+        (period(v6(0, 0, 0, 0, 1, 1), v6(0, 0, 1, 0)), "omega.theta_im = 0"),
+        (period(v6()), "omega != 0"),
+        (period(v6(), v6()), "omega != 0"),
+    ]:
+        with pytest.raises(InvalidPeriod) as exc:
+            validate_period(p)
+        assert exc.value.reason == reason
+
+
 def test_phase_square_fixtures(toy):
     ph = phase_square(toy, v6(1, 0))
     assert (ph.c.re, ph.c.im) == (1, 0)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from k3lag import intlinalg as la
 from k3lag.errors import RankMismatch
-from k3lag.exact import MarkerPoly
 from k3lag.lattice import (
     FormalVector,
     Isometry,
@@ -106,26 +105,29 @@ def test_inner_examples(U, E8, U3):
     assert inner(E8, alpha1, alpha1) == -2
     with pytest.raises(RankMismatch):
         inner(U, (1, 1, 0), (1, 1))
-
-
-def test_inner_formal_collapses_to_zero(U3):
-    # (e3+f3) + eps*t1*e1 paired with e1 has no surviving term
+    # a formal vector pairs through its vectors (x, y_1, ..., y_m).
+    # f = (e1 + 2 f2) + 1/3 (t1 e3 + t4 (f1 - e2)), y = 2 e1 + f1 - 3 f2 + e3 + f3:
+    # (e1 + 2 f2).y = 1, e3.y = 1, (f1 - e2).y = 2 + 3
+    fv = FormalVector(
+        v6(1, 0, 0, 2), Fraction(1, 3), ((1, v6(0, 0, 0, 0, 1)), (4, v6(0, 1, -1)))
+    )
+    y = v6(2, 1, 0, -3, 1, 1)
+    assert fv.vectors == (v6(1, 0, 0, 2), v6(0, 0, 0, 0, 1), v6(0, 1, -1))
+    assert [inner(U3, v, y) for v in fv.vectors] == [1, 1, 5]
+    # (e3 + f3) + 1/2 t1 e1 is orthogonal to e1; with f1 only its term pairs
     fv = FormalVector(v6(0, 0, 0, 0, 1, 1), Fraction(1, 2), ((1, v6(1, 0)),))
-    poly = inner(U3, fv, v6(1, 0))
-    assert isinstance(poly, MarkerPoly)
-    assert poly == 0
-    # pairing with f1 keeps the marker term: eps * t1 * (e1.f1)
-    poly2 = inner(U3, fv, v6(0, 1))
-    assert poly2.coefficient([1]) == Fraction(1, 2)
-    assert poly2.constant_term() == 0
-
-
-def test_inner_formal_formal_degree(U3):
+    assert [inner(U3, v, v6(1, 0)) for v in fv.vectors] == [0, 0]
+    assert [inner(U3, v, v6(0, 1)) for v in fv.vectors] == [0, 1]
+    # (e2 + f2) + 1/3 (t1 e1 + t2 f1): base square 2, and e1.f1 = 1 couples t1 t2
     fv = FormalVector(v6(0, 0, 1, 1), Fraction(1, 3), ((1, v6(1, 0)), (2, v6(0, 1))))
-    sq = inner(U3, fv, fv)
-    # constant = (e2+f2)^2, cross terms eps*(..), quadratic term 2*eps^2*t1*t2
-    assert sq.constant_term() == 2
-    assert sq.coefficient([1, 2]) == 2 * Fraction(1, 3) ** 2
+    assert gram_matrix(U3, fv.vectors) == ((2, 0, 0), (0, 0, 1), (0, 1, 0))
+    # inner and norm take plain vectors only
+    with pytest.raises(TypeError):
+        inner(U3, fv, y)
+    with pytest.raises(TypeError):
+        inner(U3, y, fv)
+    with pytest.raises(TypeError):
+        norm(U3, fv)
 
 
 def test_saturate_examples(U):
@@ -386,23 +388,6 @@ def test_gram_matrix_matches_the_lower_triangle_reference(K3):
         basis = orth_complement(K3, [sparse()]).basis
         assert gram_matrix(K3, basis) == _gram_matrix_reference(K3, basis)
     assert gram_matrix(K3, []) == ()
-
-
-def test_inner_formal_plain_both_orders(U3):
-    # f = (e1 + 2 f2) + 1/3 (t1 e3 + t4 (f1 - e2)), y = 2 e1 + f1 - 3 f2 + e3 + f3:
-    # (e1 + 2 f2).y = 1, e3.y = 1, (f1 - e2).y = 2 + 3
-    fv = FormalVector(
-        v6(1, 0, 0, 2), Fraction(1, 3), ((1, v6(0, 0, 0, 0, 1)), (4, v6(0, 1, -1)))
-    )
-    y = v6(2, 1, 0, -3, 1, 1)
-    expected = MarkerPoly({(): 1, ((1, 1),): Fraction(1, 3), ((4, 1),): Fraction(5, 3)})
-    assert inner(U3, fv, y) == expected
-    assert inner(U3, y, fv) == expected
-    # a plain vector of the wrong length is refused in either order
-    with pytest.raises(RankMismatch):
-        inner(U3, fv, (1, 0))
-    with pytest.raises(RankMismatch):
-        inner(U3, (1, 0), fv)
 
 
 def _preserves_reference(m, lat):
