@@ -43,7 +43,7 @@ from .criteria import (
 from .eichler import canonical_form, canonical_target, witness_failures
 from .enumeration import Unknown, find_isotropic, find_positive, roots_generate
 from .errors import AnswerTooLarge, FormalOmegaUnsupported, InvalidPeriod, LatticeError
-from .errors import RankMismatch, TypeOneOne
+from .errors import RankMismatch, TypeOneOne, printable
 from .exact import primitivize, rational_direction
 from .fibration import syz_witness
 from .hodge import PeriodData, phase_square
@@ -389,12 +389,12 @@ def _check_eichler(result: dict, failures: list, host, w, has_target=True) -> No
 
 
 def _check_realize(result: dict, failures: list, host, sub) -> None:
-    rep = realizable(host, sub)
-    if rep.ok != _field(result, "ok", "result"):
-        failures.append("realizability verdict changed on recomputation")
-        return
-    if not rep.ok:
-        if rep.failing_condition != _field(result, "failing_condition", "result"):
+    """A witness certifies ok: true on its own; any other verdict is rerun."""
+    if _field(result, "ok", "result") is not True:
+        rep = realizable(host, sub)
+        if rep.ok != result["ok"]:
+            failures.append("realizability verdict changed on recomputation")
+        elif rep.failing_condition != _field(result, "failing_condition", "result"):
             failures.append("failing condition changed on recomputation")
         return
     witness = ser.dec_formal(_field(result, "witness", "result"), "witness", host.rank)
@@ -486,7 +486,7 @@ def main(argv=None) -> int:
     except ser.InputError as exc:
         doc, code = ser.error_document(exc.code, str(exc)), 2
     except LatticeError as exc:
-        extra = {k: str(v) for k, v in exc.payload.items()}
+        extra = {k: printable(v) for k, v in exc.payload.items()}
         doc, code = ser.error_document(exc.code, str(exc), **extra), 1
     return _emit(output, ser.dumps(doc), code)
 

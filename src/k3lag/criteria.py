@@ -28,6 +28,7 @@ from .errors import (
     NotRealizable,
     RankMismatch,
     ZeroOmega,
+    printable,
 )
 from .hodge import PeriodData
 from .lattice import (
@@ -102,29 +103,24 @@ class RealizabilityReport:
 def lag_lattice(host: Lattice, omega) -> Sublattice:
     """{x in host : x.omega = 0}, the Lagrangian lattice of omega.
 
-    A rational omega is cleared to d * omega, d > 0 (same kernel, same sign
-    of the square), and this is its orthogonal complement. For a
-    FormalVector omega, x must be orthogonal to each of omega.vectors.
+    x must be orthogonal to each of omega.vectors; a rational omega is the
+    one-vector case, cleared to d * omega, d > 0 (same kernel, same sign of
+    the square), and only it must have omega^2 > 0.
     """
-    if isinstance(omega, FormalVector):
-        if omega.rank != host.rank:
-            raise RankMismatch("omega rank differs from host rank")
-        if omega.is_zero():
-            raise ZeroOmega()
-        # Fraction Gram rows, cleared one by one: clearing the vectors first
-        # is faster, but perfbench keeps every output, so on lattice_queries
-        # the extra ops read as more peak RSS and a deeper latency tail.
-        rows = [la.integral_row(gram_row(host, v)) for v in omega.vectors]
-        return Sublattice._from_hnf(host, la.int_kernel(rows, host.rank))
-    om = la.integral_row(omega)
-    if len(om) != host.rank:
+    formal = isinstance(omega, FormalVector)
+    vecs = omega.vectors if formal else (la.integral_row(omega),)
+    if len(vecs[0]) != host.rank:
         raise RankMismatch("omega rank differs from host rank")
-    if not any(om):
+    if not any(map(any, vecs)):
         raise ZeroOmega()
-    if norm(host, om) <= 0:
+    # Fraction Gram rows of a formal omega, cleared one by one: clearing the
+    # vectors first is faster, but perfbench keeps every output, so on
+    # lattice_queries the extra ops read as more peak RSS and a deeper tail.
+    rows = [la.integral_row(gram_row(host, v)) for v in vecs]
+    if not formal and la.dot(rows[0], vecs[0]) <= 0:
         w2 = norm(host, tuple(map(Fraction, omega)))
-        raise NotPositive(f"omega^2 = {w2} must be positive")
-    return orth_complement(host, [om])
+        raise NotPositive(f"omega^2 = {printable(w2)} must be positive")
+    return Sublattice._from_hnf(host, la.int_kernel(rows, host.rank))
 
 
 def decompose_positive(
@@ -143,7 +139,7 @@ def decompose_positive(
     xv = la.int_vector(x)
     x2 = norm(host, xv)
     if x2 <= 0:
-        raise NotPositive(f"x.x = {x2} must be positive")
+        raise NotPositive(f"x.x = {printable(x2)} must be positive")
     if not sub.contains(xv):
         raise NotMember("x is not in the sublattice")
     if not sub.contains(gv):
@@ -167,7 +163,7 @@ def positive_from_isotropic(
     dv = la.int_vector(delta)
     av = la.int_vector(alpha)
     if norm(host, dv) != 0:
-        raise NotIsotropic(f"delta.delta = {norm(host, dv)} must be 0")
+        raise NotIsotropic(f"delta.delta = {printable(norm(host, dv))} must be 0")
     da = inner(host, dv, av)
     if da == 0:
         raise NotCoupled("delta.alpha = 0")

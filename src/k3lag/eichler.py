@@ -14,6 +14,7 @@ pulled back from the second hyperbolic block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import List, Tuple
 
 from . import intlinalg as la
@@ -27,8 +28,8 @@ from .errors import (
     NotPrimitive,
     ParityFailure,
     UnsupportedLattice,
+    printable,
 )
-from .exact import content
 from .lattice import Isometry, Lattice, gram_row, inner, is_primitive, norm
 from .lattice import _gram_inverse
 
@@ -49,9 +50,9 @@ def transvection(lat: Lattice, u, a) -> Isometry:
     uv = la.int_vector(u)
     av = la.int_vector(a)
     if norm(lat, uv) != 0:
-        raise NotIsotropic(f"u.u = {norm(lat, uv)} must be 0")
+        raise NotIsotropic(f"u.u = {printable(norm(lat, uv))} must be 0")
     if inner(lat, uv, av) != 0:
-        raise NotOrthogonal(f"u.a = {inner(lat, uv, av)} must be 0")
+        raise NotOrthogonal(f"u.a = {printable(inner(lat, uv, av))} must be 0")
     if norm(lat, av) % 2:
         raise ParityFailure("a.a must be even")
     st = _Walker(lat, uv)
@@ -187,7 +188,7 @@ def canonical_form(lat: Lattice, w) -> CanonicalFormResult:
         raise NotPrimitive("w must be a primitive nonzero vector")
     w2 = norm(lat, wv)
     if w2 < 0:
-        raise NegativeNorm(f"w.w = {w2} is not supported")
+        raise NegativeNorm(f"w.w = {printable(w2)} is not supported")
     d = w2 // 2
     n = lat.rank
     target = canonical_target(n, d)
@@ -251,7 +252,7 @@ def _rest_gcd_vector(lat: Lattice, z: IntVec) -> IntVec:
     rest_gram = tuple(tuple(lat.gram[i][j] for j in range(4, n)) for i in range(4, n))
     gz = la.matvec(rest_gram, z)
     g, coeffs = la.gcd_combination(gz)
-    if g != content(z):
+    if g != gcd(*z):
         raise ImpossibleState("rest block pairing content mismatch")
     return (0, 0, 0, 0) + coeffs
 
@@ -266,7 +267,7 @@ def _block_witnesses(
     """
     w2 = norm(lat, w)
     if w2 <= 0:
-        raise NotPositive(f"w.w = {w2} must be positive")
+        raise NotPositive(f"w.w = {printable(w2)} must be positive")
     res = canonical_form(lat, w)
     ginv = _gram_inverse(lat)
     ell, u = (la.matvec(ginv, la.vecmat(lat.gram[i], res.g.matrix)) for i in (2, 3))

@@ -27,7 +27,7 @@ from math import isqrt, lcm
 from typing import Iterator, List, Optional, Tuple
 
 from . import intlinalg as la
-from .errors import ImpossibleState, NotNegativeDefinite, NotPositive
+from .errors import ImpossibleState, NotNegativeDefinite, NotPositive, printable
 from .exact import primitivize, sign_normalized
 from .lattice import (
     Lattice,
@@ -159,8 +159,9 @@ def _definite(gram) -> tuple:
     dec = la.symmetric_diagonalize(pd)
     p, n, r = sum(d < 0 for d in dec[0]), sum(d > 0 for d in dec[0]), len(pd)
     if n != r:
-        z = r - p - n
-        raise NotNegativeDefinite(f"lattice has signature {(p, n, z)}, expected (0, {r}, 0)")
+        raise NotNegativeDefinite(
+            f"lattice has signature {printable((p, n, r - p - n))}, expected (0, {printable(r)}, 0)"
+        )
     return pd, dec
 
 
@@ -335,23 +336,19 @@ class _Slice:
         return (self.host(xa, c) for c in self.coords(a))
 
 
-def root_slice(lat: Lattice, w, bound: int, lower: int = 0) -> List[IntVec]:
-    """All roots delta with delta.delta = -2 and lower < delta.w < bound.
+def root_slice(lat: Lattice, w, bound: int) -> List[IntVec]:
+    """All roots delta with delta.delta = -2 and 0 < delta.w < bound.
 
     Requires w.w > 0 with negative definite w-orthogonal complement, which
     makes the slice finite; the listing is complete and lexicographic. The
-    lower end (default 0, at least 0) cuts the slice to the levels above
-    it, so root_slice(lat, w, a + 1, a - 1) is the single level delta.w = a.
-    The levels come from one _Slice, each already sorted; after a make_nef
+    levels come from one _Slice, each already sorted; after a make_nef
     walk on (lat, w) it reuses the walk's set-up but enumerates anew.
     """
     wv = la.int_vector(w)
     w2 = norm(lat, wv)  # raises RankMismatch for a w of the wrong length
     if w2 <= 0:
-        raise NotPositive(f"w.w = {w2} must be positive")
+        raise NotPositive(f"w.w = {printable(w2)} must be positive")
     if bound < 1:
         raise ValueError("bound must be a positive integer")
-    if lower < 0:
-        raise ValueError("lower must be a non-negative integer")
     sl = _Slice(lat, wv)  # its levels off the multiples of d are empty
-    return sorted(x for a in range(lower + 1, bound) for x in sl.level(a))
+    return sorted(x for a in range(1, bound) for x in sl.level(a))

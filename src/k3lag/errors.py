@@ -5,6 +5,14 @@ mirror library errors into structured error documents.
 """
 
 
+def printable(x) -> str:
+    """str(x), or a fixed text where str() refuses an int past the digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return "<a number too long to print>"
+
+
 class LatticeError(Exception):
     """Base class for all library errors."""
 

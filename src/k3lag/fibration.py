@@ -18,6 +18,7 @@ from .errors import (
     NotPositive,
     WrongSide,
     ZeroVector,
+    printable,
 )
 from .exact import rational_direction
 from .intlinalg import dot, int_vector, matvec
@@ -56,7 +57,7 @@ def reflection(lat: Lattice, delta) -> Isometry:
     """s_delta(x) = x + (x.delta) delta for a norm -2 root; an involution."""
     dv = int_vector(delta)
     if norm(lat, dv) != -2:
-        raise ValueError(f"delta.delta = {norm(lat, dv)} must be -2")
+        raise ValueError(f"delta.delta = {printable(norm(lat, dv))} must be -2")
     gd = gram_row(lat, dv)
     n = lat.rank
     return Isometry(
@@ -90,13 +91,13 @@ def make_nef(lat: Lattice, omega, ell) -> NefWalkResult:
     lv = int_vector(ell)
     w2 = norm(lat, ov)
     if w2 <= 0:
-        raise NotPositive(f"omega^2 = {w2} must be positive")
+        raise NotPositive(f"omega^2 = {printable(w2)} must be positive")
     row = gram_row(lat, lv)  # the class's pairings: delta.cur = row.x_a + c.tm
     if dot(row, lv) != 0:
-        raise NotIsotropic(f"ell^2 = {dot(row, lv)} must be 0")
+        raise NotIsotropic(f"ell^2 = {printable(dot(row, lv))} must be 0")
     pairing = dot(row, ov)
     if pairing <= 0:
-        raise WrongSide(f"ell.omega = {pairing} must be positive")
+        raise WrongSide(f"ell.omega = {printable(pairing)} must be positive")
     sl = _Slice(lat, ov)
     trace = [pairing]
     used = []

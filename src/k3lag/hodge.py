@@ -20,6 +20,7 @@ from .errors import (
     NotLagrangian,
     RankMismatch,
     TypeOneOne,
+    printable,
 )
 from .exact import GaussianRational
 from .lattice import FormalVector, Lattice, Sublattice, inner, norm, orth_complement
@@ -41,14 +42,10 @@ class PeriodData:
         ti = tuple(Fraction(c) for c in self.theta_im)
         object.__setattr__(self, "theta_re", tr)
         object.__setattr__(self, "theta_im", ti)
-        if isinstance(self.omega, FormalVector):
-            if self.omega.rank != self.host.rank:
-                raise RankMismatch("omega rank differs from host rank")
-        else:
-            om = tuple(Fraction(c) for c in self.omega)
-            if len(om) != self.host.rank:
-                raise RankMismatch("omega rank differs from host rank")
-            object.__setattr__(self, "omega", om)
+        if self.omega_is_rational:
+            object.__setattr__(self, "omega", tuple(Fraction(c) for c in self.omega))
+        if (len(self.omega) if self.omega_is_rational else self.omega.rank) != self.host.rank:
+            raise RankMismatch("omega rank differs from host rank")
         if len(tr) != self.host.rank or len(ti) != self.host.rank:
             raise RankMismatch("theta rank differs from host rank")
 
@@ -97,7 +94,8 @@ def validate_period(p: PeriodData) -> Tuple[str, ...]:
 
 
 def phase_square(p: PeriodData, gamma, root_choice: int = 1) -> RotationPhase:
-    """c = gamma.theta and zeta^2 = conj(c)/c in lowest terms."""
+    """c = gamma.theta and zeta^2 = conj(c)/c in lowest terms, from the closed
+    form ((a^2 - b^2) - 2ab i) / (a^2 + b^2) for c = a + bi."""
     if not p.omega_is_rational:
         raise FormalOmegaUnsupported(
             "phase and rotation operations need a rational omega"
@@ -105,12 +103,10 @@ def phase_square(p: PeriodData, gamma, root_choice: int = 1) -> RotationPhase:
     validate_period(p)
     val = inner(p.host, gamma, p.omega)
     if val != 0:
-        raise NotLagrangian(f"gamma.omega = {val} must be 0")
-    c = GaussianRational(
-        Fraction(inner(p.host, gamma, p.theta_re)),
-        Fraction(inner(p.host, gamma, p.theta_im)),
-    )
-    if c.is_zero():
+        raise NotLagrangian(f"gamma.omega = {printable(val)} must be 0")
+    a = Fraction(inner(p.host, gamma, p.theta_re))
+    b = Fraction(inner(p.host, gamma, p.theta_im))
+    if a == 0 == b:
         g2 = norm(p.host, gamma)
         raise TypeOneOne(
             "gamma.theta = 0: gamma is already of type (1,1)"
@@ -123,7 +119,9 @@ def phase_square(p: PeriodData, gamma, root_choice: int = 1) -> RotationPhase:
         )
     if root_choice not in (1, -1):
         raise ValueError("root_choice must be +1 or -1")
-    return RotationPhase(c, c.conjugate() / c, root_choice)
+    n = a * a + b * b
+    zeta_squared = GaussianRational((a * a - b * b) / n, -2 * a * b / n)
+    return RotationPhase(GaussianRational(a, b), zeta_squared, root_choice)
 
 
 def rotated_picard(p: PeriodData, gamma) -> Sublattice:

@@ -4,11 +4,12 @@ Matrices are row-major tuples of tuples. Canonical form throughout is the
 row Hermite normal form: positive pivots, entries above a pivot reduced into
 [0, pivot), zero rows dropped (or sorted to the bottom when a transform is
 requested). Ranks in this package stay small (<= 22), so the plain
-O(n^3)-with-big-ints algorithms are entirely adequate. Two eliminations run
-over Z: the xgcd echelon of the HNF (kernels, solving, Smith invariants) and
-fraction-free Bareiss steps (determinant, the congruence diagonalization
-behind signatures and Fincke-Pohst, yielded step by step, the Gauss-Jordan
-inverse). Only kernels build the echelon's whole transform; a solve replays
+O(n^3)-with-big-ints algorithms are entirely adequate. Three eliminations
+run over Z: the xgcd echelon of the HNF (kernels, solving, Smith
+invariants), and two with fraction-free Bareiss steps: one Gauss-Jordan
+kernel for the determinant and the inverse, and the congruence
+diagonalization behind signatures and Fincke-Pohst, yielded step by step.
+Only kernels build the echelon's whole transform; a solve replays
 its logged row operations on one vector, so a logged elimination serves
 every later solve over the same rows. An inverse is an integer matrix over
 one least denominator (frac_inverse), and integral_row clears denominators
@@ -222,29 +223,37 @@ def int_kernel(rows: Sequence[Sequence[int]], ncols: int) -> IntMatrix:
     return hnf(kernel_rows, ncols)
 
 
-def det(m: Sequence[Sequence[int]]) -> int:
-    """Exact determinant by Bareiss elimination; no-op row steps are skipped."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(map(int, row)) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            j = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if j is None:
-                return 0
-            a[k], a[j] = a[j], a[k]
+def _gauss_jordan(a: List[List[int]], n: int) -> Tuple[int, int]:
+    """Fraction-free Gauss-Jordan on the rows of a in place, pivots in the
+    first n columns; (sign, prev) with sign * prev = det of that block.
+
+    Every row i != k becomes (p row_i - a_ik row_k) / prev at pivot p, an
+    exact division (Bareiss); sign flips on each row swap. Only columns right
+    of the pivot are updated, as no later step reads the others, so columns
+    past n (an appended identity) end as prev * block^-1. A row with
+    a_ik = 0 at p = prev is skipped. A singular block returns (1, 0).
+    """
+    sign, prev = 1, 1
+    for k in range(n):
+        if not a[k][k]:
+            piv = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if piv is None:
+                return 1, 0
+            a[k], a[piv] = a[piv], a[k]
             sign = -sign
-        for i in range(k + 1, n):
-            if a[i][k] == 0 and a[k][k] == prev:
-                continue  # the step would leave row i as it is
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+        p, rk = a[k][k], a[k][k + 1:]
+        for i, row in enumerate(a):
+            c = row[k]
+            if i != k and (c or p != prev):  # else row i stays as it is
+                row[k + 1:] = [(p * x - c * y) // prev for x, y in zip(row[k + 1:], rk)]
+        prev = p
+    return sign, prev
+
+
+def det(m: Sequence[Sequence[int]]) -> int:
+    """Exact determinant: sign * prev from _gauss_jordan, 0 when singular."""
+    sign, prev = _gauss_jordan([list(map(int, row)) for row in m], len(m))
+    return sign * prev
 
 
 def solve_left(
@@ -319,27 +328,15 @@ def integral_row(row: Sequence) -> Tuple[int, ...]:
 def frac_inverse(m: Sequence[Sequence[int]]) -> Tuple[int, IntMatrix]:
     """(d, A) with m^-1 = A / d over Z, d >= 1 least; ZeroDivisionError if singular.
 
-    Fraction-free Gauss-Jordan on [m | I] over Z: every row i != k becomes
-    (p row_i - a_ik row_k) / prev at pivot p, an exact division (Bareiss),
-    so the left block ends as prev * I with prev = +-det m and the right
-    block as prev * m^-1 (a row with a_ik = 0 at p = prev stays as it is and
-    is skipped). Dividing out g = gcd(prev, right block) leaves d = |prev| / g,
-    the lcm of the denominators of m^-1 in lowest terms.
+    _gauss_jordan on [m | I] ends with the right block prev * m^-1.
+    Dividing out g = gcd(prev, right block) leaves d = |prev| / g, the lcm
+    of the denominators of m^-1 in lowest terms.
     """
     n = len(m)
     a = [list(map(int, row)) + list(e) for row, e in zip(m, identity(n))]
-    prev = 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[k], a[piv] = a[piv], a[k]
-        p, rk = a[k][k], a[k]
-        for i in range(n):
-            c = a[i][k]
-            if i != k and (c or p != prev):  # else row i stays as it is
-                a[i] = [(p * x - c * y) // prev for x, y in zip(a[i], rk)]
-        prev = p
+    _, prev = _gauss_jordan(a, n)
+    if not prev:
+        raise ZeroDivisionError("singular matrix")
     d = abs(prev) // gcd(prev, *(x for row in a for x in row[n:]))
     q = prev // d  # +-g, so A = right block / q
     return d, tuple(tuple(x // q for x in row[n:]) for row in a)

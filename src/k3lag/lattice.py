@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Sequence, Tuple, Union
 
 from . import intlinalg as la
-from .errors import DegenerateLattice, RankMismatch
-from .exact import content, primitivize
+from .errors import DegenerateLattice, RankMismatch, printable
+from .exact import primitivize
 
 # entries kept per memoized lattice function (signature, radical, Gram
 # inverse); least recently used lattices are dropped beyond it
@@ -98,9 +99,6 @@ class FormalVector:
         """(x, y_1, ..., y_m), the vectors whose pairings decide z.v = 0."""
         return (self.base,) + tuple(y for _, y in self.terms)
 
-    def is_zero(self) -> bool:
-        return not any(map(any, self.vectors))
-
 
 def _qvec(v) -> QVec:
     """The entries of v as Fractions; a Fraction entry is kept, not copied."""
@@ -110,7 +108,7 @@ def _qvec(v) -> QVec:
 def _coerce_vector(x: VectorLike, rank: int) -> tuple:
     v = tuple(x)
     if len(v) != rank:
-        raise RankMismatch(f"vector length {len(v)} != rank {rank}")
+        raise RankMismatch(f"vector length {printable(len(v))} != rank {printable(rank)}")
     return v
 
 
@@ -232,10 +230,6 @@ class Isometry:
 
     def apply(self, v: VectorLike) -> IntVec:
         return la.matvec(self.matrix, la.int_vector(v))
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        """self after other (matrix product self.matrix @ other.matrix)."""
-        return Isometry(la.matmul(self.matrix, other.matrix))
 
     def preserves(self, lat: Lattice) -> bool:
         """g^T G g == G and det g = +-1, which a nondegenerate G implies; G g
@@ -385,7 +379,7 @@ def sublattice_index(inner_sub: Sublattice, outer_sub: Sublattice) -> int:
 
 
 def is_primitive(v: VectorLike) -> bool:
-    return content(la.int_vector(v)) == 1
+    return gcd(*la.int_vector(v)) == 1
 
 
 __all__ = [

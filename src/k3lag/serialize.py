@@ -191,6 +191,8 @@ def loads(text: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("bad_json", f"input is not valid JSON: {exc}")
+    except ValueError:  # int() refuses a bare number past the digit limit
+        raise _too_large("input")
     except RecursionError:
         raise InputError("bad_json", "input is nested too deeply")
     if not isinstance(doc, dict):

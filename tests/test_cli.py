@@ -553,6 +553,10 @@ def _k3_w(*entries):
 
 DIGITS = 4300  # CPython's default int <-> str limit, set in the child's environment
 E2200 = 10**2200
+# w.w = -2 * 10^2200 * (10^2200 + 1) has 4401 digits: a refusal's message and
+# payload cannot print it
+LONG_NEGATIVE = (str(E2200), str(-E2200 - 1))
+BARE = "1" * 5000  # a bare JSON number, which json.loads converts with int()
 
 
 @pytest.mark.parametrize(
@@ -567,9 +571,18 @@ E2200 = 10**2200
         # exactly at the limit: a non-saturated sublattice, and w = (1/q, 1/q)
         ("realize", json.dumps({"sublattice": [[str(10 ** (DIGITS - 1))] + ["0"] * 21]}), 0, None),
         ("syz", _k3_w("1/" + "1" * DIGITS, "1/" + "1" * DIGITS), 0, None),
+        ("eichler", _k3_w(*LONG_NEGATIVE), 1, "negative_norm"),
+        ("syz", _k3_w(*LONG_NEGATIVE), 1, "not_positive"),
+        ("decompose", json.dumps({"host": "K3", "omega": list(LONG_NEGATIVE) + ["0"] * 20,
+                                  "gamma": ["0"] * 22}), 1, "not_positive"),
+        ("verify", '{"lattice": %s}' % BARE, 2, "integer_too_large"),
+        ("verify", '{"lattice": {"gram": [[%s]]}}' % BARE, 2, "integer_too_large"),
+        ("verify", "[%s]" % BARE, 2, "integer_too_large"),
     ],
     ids=["int_too_long", "numerator_too_long", "denominator_too_long", "deep_json",
-         "answer_too_long", "int_at_limit", "denominator_at_limit"],
+         "answer_too_long", "int_at_limit", "denominator_at_limit", "long_norm_message",
+         "long_syz_message", "long_omega_message", "bare_number", "bare_number_in_gram",
+         "bare_number_at_top"],
 )
 def test_digit_limit_and_nesting_end_in_a_document(command, stdin, exit_code, error):
     # a child process, so the digit limit is the one the environment sets

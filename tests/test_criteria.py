@@ -28,6 +28,7 @@ from k3lag.errors import (
     NotMember,
     NotPositive,
     NotRealizable,
+    RankMismatch,
     ZeroOmega,
 )
 from k3lag.hodge import PeriodData
@@ -93,10 +94,32 @@ def test_lag_lattice_k3_signature(K3):
 
 
 def test_lag_lattice_errors(U3):
-    with pytest.raises(ZeroOmega):
-        lag_lattice(U3, v6())
-    with pytest.raises(NotPositive):
-        lag_lattice(U3, v6(1, 0))  # isotropic direction
+    # each refusal's class and message, rational and formal omega alike
+    def refusal(omega):
+        with pytest.raises(Exception) as exc:
+            lag_lattice(U3, omega)
+        return type(exc.value), str(exc.value)
+
+    def formal(base, *terms):
+        return FormalVector(base, Fraction(1, 2), tuple(enumerate(terms, 1)))
+
+    rank = (RankMismatch, "omega rank differs from host rank")
+    zero = (ZeroOmega, "The Kaehler direction must be nonzero.")
+    # the length is checked before zero, zero before the sign of omega^2
+    assert refusal((0,) * 5) == rank
+    assert refusal((1, 1) + (0,) * 5) == rank
+    assert refusal(v6()) == zero
+    assert refusal(v6(Fraction(0), 0)) == zero
+    assert refusal(v6(1, 0)) == (NotPositive, "omega^2 = 0 must be positive")  # isotropic
+    assert refusal(v6(1, -1)) == (NotPositive, "omega^2 = -2 must be positive")
+    assert refusal(v6(Fraction(1, 2), Fraction(-1, 3))) == (
+        NotPositive, "omega^2 = -1/3 must be positive")
+    # a formal omega: length, then zero; the sign of its square is undefined
+    assert refusal(formal((0,) * 5)) == rank
+    assert refusal(formal((1,) * 7, (1,) * 7)) == rank
+    assert refusal(formal(v6())) == zero
+    assert refusal(formal(v6(), v6(), v6())) == zero
+    assert lag_lattice(U3, formal(v6(1, -1))) == orth_complement(U3, [v6(1, -1)])
 
 
 def _fraction_gram_row_kernel(host, omega):
@@ -105,21 +128,27 @@ def _fraction_gram_row_kernel(host, omega):
     return Sublattice(host, la.int_kernel([row], host.rank))
 
 
-@pytest.mark.parametrize("name", ["K3", "U+E8"])
-def test_lag_lattice_rational_matches_fraction_gram_row(name, K3):
-    host = K3 if name == "K3" else direct_sum(hyperbolic_plane(), e8_lattice())
+@pytest.mark.parametrize("name", ["K3", "U+E8", "U3"])
+def test_lag_lattice_rational_matches_fraction_gram_row(name, K3, U3):
+    host = {"K3": K3, "U3": U3}.get(name) or direct_sum(hyperbolic_plane(), e8_lattice())
     rng = random.Random(1802)
     for den in range(1, 7):
         done = 0
         while done < 4:
             omega = [Fraction(0)] * host.rank
-            for i in [0, 1] + rng.sample(range(2, host.rank), rng.randint(1, 5)):
+            picks = rng.sample(range(2, host.rank), rng.randint(1, min(5, host.rank - 2)))
+            for i in [0, 1] + picks:
                 # omega.f1, omega.e1 >= 0 keeps most squares positive
                 lo = 0 if i < 2 else -4
                 omega[i] = Fraction(rng.randint(lo, 9), rng.randint(1, den))
             if norm(host, omega) <= 0:
                 continue
-            assert lag_lattice(host, omega) == _fraction_gram_row_kernel(host, omega)
+            want = _fraction_gram_row_kernel(host, omega)
+            assert lag_lattice(host, omega) == want
+            # the same lattice as the orthogonal complement of the cleared omega
+            assert want == orth_complement(host, [la.integral_row(omega)])
+            if den == 1:  # and for an omega of plain ints
+                assert lag_lattice(host, [int(c) for c in omega]) == want
             done += 1
 
 

@@ -499,8 +499,6 @@ def test_root_slice_on_rank_one_hosts():
 def test_root_slice_requires_positive(U_minus2):
     with pytest.raises(NotPositive):
         root_slice(U_minus2, (0, 0, 1), 3)
-    with pytest.raises(ValueError):
-        root_slice(U_minus2, (3, 2, 1), 3, -1)
 
 
 def test_root_slice_rejects_a_w_of_the_wrong_length(U_minus2):
@@ -510,8 +508,10 @@ def test_root_slice_rejects_a_w_of_the_wrong_length(U_minus2):
 
 
 def test_root_slice_lower_end_matches_brute():
-    # one brute listing per host, cut to every window lower < delta.w < bound;
-    # no root of these slices has a coordinate above 3, so box 12 is ample
+    # one brute listing per host, cut below every bound and to every level
+    # delta.w = a, against the slice cut the same way (a window's lower end is
+    # a filter of the full slice); no root of these slices has a coordinate
+    # above 3, so box 12 is ample
     hosts_and_w = [
         (direct_sum(hyperbolic_plane(), from_diagonal([-2])), (3, 2, 1)),
         (direct_sum(hyperbolic_plane(), from_diagonal([-4])), (2, 3, -1)),
@@ -520,11 +520,12 @@ def test_root_slice_lower_end_matches_brute():
     for lat, w in hosts_and_w:
         brute = brute_root_slice(lat.gram, w, 6, box=12)
         assert brute
-        for lower in range(0, 6):
-            for bound in range(max(1, lower), 7):
-                want = [d for d in brute if lower < inner(lat, d, w) < bound]
-                assert root_slice(lat, w, bound, lower) == want
-        assert root_slice(lat, w, 6, 0) == root_slice(lat, w, 6)
+        for bound in range(1, 7):
+            assert root_slice(lat, w, bound) == [d for d in brute if inner(lat, d, w) < bound]
+        full = root_slice(lat, w, 6)
+        for a in range(1, 6):
+            want = [d for d in brute if inner(lat, d, w) == a]
+            assert [d for d in full if inner(lat, d, w) == a] == want
 
 
 def test_root_slice_pointwise_and_brute():
@@ -597,7 +598,8 @@ def test_slice_coords_build_its_levels():
             coords = list(sl.coords(a))
             level = list(sl.level(a))
             assert [sl.host(xa, c) for c in coords] == level, (w, a)
-            assert level == root_slice(lat, w, a + 1, a - 1), (w, a)
+            below = root_slice(lat, w, a + 1)
+            assert level == [d for d in below if inner(lat, d, w) == a], (w, a)
             if a % sl.d:
                 assert not coords, (w, a)
                 empty += 1

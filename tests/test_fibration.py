@@ -4,6 +4,7 @@ from itertools import islice
 import pytest
 
 from k3lag import enumeration, fibration
+from k3lag import intlinalg as la
 from k3lag.enumeration import root_slice, short_vectors
 from k3lag.errors import (
     ImpossibleState,
@@ -33,7 +34,7 @@ def test_reflection_properties(U_minus2):
     assert s.preserves(U_minus2)
     assert s.apply(delta) == (0, 0, -1)
     # involution
-    assert s.compose(s).matrix == tuple(
+    assert la.matmul(s.matrix, s.matrix) == tuple(
         tuple(1 if i == j else 0 for j in range(3)) for i in range(3)
     )
     with pytest.raises(ValueError):

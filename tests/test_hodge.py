@@ -130,9 +130,34 @@ def test_phase_square_modulus_one(toy):
             ph = phase_square(toy, gamma)
         except TypeOneOne:
             continue
-        z = ph.zeta_squared
-        assert z.norm_squared() == 1
-        assert (z * z.conjugate()).re == 1
+        z, c = ph.zeta_squared, ph.c
+        assert z.re * z.re + z.im * z.im == 1
+        # zeta^2 c = conj(c), the product formed by hand
+        assert (z.re * c.re - z.im * c.im, z.re * c.im + z.im * c.re) == (c.re, -c.im)
+
+
+def _gaussian_division(num, den):
+    """num / den in Q(i) as a product with conj(den) over |den|^2, term by term."""
+    (a, b), (c, d) = num, den
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
+
+
+def test_phase_square_matches_the_gaussian_division(U3):
+    # theta = r(e1+f1) + i r(e2+f2) and gamma = a e1 + b e2 give c = r(a + bi),
+    # so zeta^2 = conj(c)/c is checked against the division over seeded c
+    rng = random.Random(2707)
+    cs = [(0, 3), (5, 0), (2, 2), (4, -4), (-3, 3), (-1, -1), (0, -1), (-7, 0)]
+    cs += [(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(40)]
+    for r in (Fraction(1), Fraction(1, 2), Fraction(3, 7)):
+        p = PeriodData(U3, v6(r, r), v6(0, 0, r, r), v6(0, 0, 0, 0, 1, 1))
+        for a, b in cs:
+            if a == 0 == b:
+                continue
+            ph = phase_square(p, v6(a, 0, b, 0))
+            assert (ph.c.re, ph.c.im) == (r * a, r * b)
+            want = _gaussian_division((r * a, -r * b), (r * a, r * b))
+            assert (ph.zeta_squared.re, ph.zeta_squared.im) == want, (r, a, b)
 
 
 def test_phase_square_errors(toy, U3):
