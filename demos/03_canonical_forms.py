@@ -40,7 +40,7 @@ while True:
         rng.randint(-1, 1) for _ in range(16)
     )
     if any(cand) and norm(K3, cand) >= 0:
-        from k3lag.exact import primitivize
+        from k3lag.intlinalg import primitivize
 
         w2 = primitivize(cand)
         break

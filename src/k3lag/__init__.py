@@ -38,7 +38,6 @@ from .enumeration import (
     short_vectors,
 )
 from .errors import LatticeError
-from .exact import GaussianRational
 from .fibration import (
     NefWalkResult,
     SyzReport,
@@ -47,6 +46,7 @@ from .fibration import (
     syz_witness,
 )
 from .hodge import (
+    GaussianRational,
     PeriodData,
     RotationPhase,
     kahler_sign,

@@ -44,9 +44,9 @@ from .eichler import canonical_form, canonical_target, witness_failures
 from .enumeration import Unknown, find_isotropic, find_positive, roots_generate
 from .errors import AnswerTooLarge, FormalOmegaUnsupported, InvalidPeriod, LatticeError
 from .errors import RankMismatch, TypeOneOne, printable
-from .exact import primitivize, rational_direction
 from .fibration import syz_witness
 from .hodge import PeriodData, phase_square
+from .intlinalg import primitivize, rational_direction
 from .lattice import Isometry, Lattice, Sublattice, gram_matrix, inner, k3_lattice
 from .lattice import norm, signature
 from .sampling import sample_trials
@@ -247,7 +247,7 @@ def _run_decompose(host, omega, gamma, root_choice, theta, verbatim):
     if theta is not None:
         try:
             period = PeriodData(host, theta[0], theta[1], omega)
-            phase = phase_square(period, gamma, 1 if root_choice == "+" else -1)
+            phase = phase_square(period, gamma)
             phase_doc = {
                 "c": phase.c,
                 "zeta_squared": phase.zeta_squared,

@@ -28,7 +28,6 @@ from typing import Iterator, List, Optional, Tuple
 
 from . import intlinalg as la
 from .errors import ImpossibleState, NotNegativeDefinite, NotPositive, printable
-from .exact import primitivize, sign_normalized
 from .lattice import (
     Lattice,
     Sublattice,
@@ -183,12 +182,10 @@ def short_vectors(lat: Lattice, bound: int, exact: bool = False) -> List[IntVec]
 
 def roots_generate(lat: Lattice) -> RootReport:
     """All norm -2 roots; one logged elimination gives their span's HNF."""
-    if lat.rank == 0:
-        # the zero lattice is generated by the empty root set
-        return RootReport((), True, None)
     roots = tuple(short_vectors(lat, 2, exact=True))
     if not roots:
-        return RootReport((), False, None)
+        # the zero lattice is generated by the empty root set
+        return RootReport((), lat.rank == 0, None)
     h, log = [list(r) for r in roots], []
     la._echelon(h, lat.rank, log)
     span = Sublattice._from_hnf(lat, tuple(tuple(r) for r in h if any(r)))
@@ -218,7 +215,7 @@ def find_positive(lat: Lattice) -> Optional[IntVec]:
                     )
     if signature(lat)[0] == 0:
         return None
-    v = primitivize(next(row for d, row in la.diagonal_steps(g) if d > 0))
+    v = la.primitivize(next(row for d, row in la.diagonal_steps(g) if d > 0))
     if norm(lat, v) <= 0:
         raise ImpossibleState("diagonalization gave a non-positive vector")
     return v
@@ -269,7 +266,7 @@ def find_isotropic(lat: Lattice, height: int = 10):
                     continue
                 for t in sorted(num // c for num in {-b - r, -b + r} if num % c == 0):
                     if abs(t) <= s and (abs(t) == s or edge or abs(u) == s):
-                        return sign_normalized(primitivize(z + (u, t)))
+                        return la.sign_normalized(la.primitivize(z + (u, t)))
     return Unknown(height)
 
 

@@ -20,8 +20,7 @@ from .errors import (
     ZeroVector,
     printable,
 )
-from .exact import rational_direction
-from .intlinalg import dot, int_vector, matvec
+from .intlinalg import dot, int_vector, matvec, rational_direction
 from .lattice import Isometry, Lattice, gram_row, norm
 
 IntVec = Tuple[int, ...]
@@ -45,11 +44,10 @@ class NefWalkResult:
 
 @dataclass(frozen=True)
 class SyzReport:
-    """Witness record: primitivized input, canonical form, both witnesses."""
+    """Witness record beside ell: primitivized input, norm-2 v, canonical form."""
 
     w_primitive: IntVec
     v: IntVec
-    ell: IntVec
     canonical: CanonicalFormResult
 
 
@@ -149,4 +147,4 @@ def syz_witness(lat: Lattice, w) -> Tuple[IntVec, SyzReport]:
     if not any(wp):
         raise ZeroVector("w must be nonzero")
     v, ell, res = _block_witnesses(lat, wp)
-    return ell, SyzReport(wp, v, ell, res)
+    return ell, SyzReport(wp, v, res)

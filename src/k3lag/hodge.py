@@ -3,9 +3,9 @@
 Period data is a pair (theta, omega) with theta.theta = 0, theta.conj > 0,
 omega orthogonal to theta, stored with exact rational coordinates. The unit
 phase zeta is irrational in general and never materialized: only zeta^2 and
-sign functionals in which |c| cancels are computed, keeping everything in Q.
-All outputs are invariant under positive rescaling of theta and omega, so
-integral or rational period data is admissible.
+sign functionals in which |c| cancels are computed, keeping everything in Q
+(a GaussianRational is a plain {re, im} record). All outputs are invariant
+under positive rescaling of theta and omega: rational data is admissible.
 """
 from __future__ import annotations
 
@@ -22,10 +22,17 @@ from .errors import (
     TypeOneOne,
     printable,
 )
-from .exact import GaussianRational
 from .lattice import FormalVector, Lattice, Sublattice, inner, norm, orth_complement
 
 QVec = Tuple[Fraction, ...]
+
+
+@dataclass(frozen=True)
+class GaussianRational:
+    """An element re + im * i of Q(i), stored as exact real and imaginary parts."""
+
+    re: Fraction
+    im: Fraction
 
 
 @dataclass(frozen=True)
@@ -56,11 +63,10 @@ class PeriodData:
 
 @dataclass(frozen=True)
 class RotationPhase:
-    """c = gamma.theta and zeta^2 = conj(c)/c, with the chosen square root."""
+    """c = gamma.theta and zeta^2 = conj(c)/c, the same for either root zeta."""
 
     c: GaussianRational
     zeta_squared: GaussianRational
-    root_choice: int = 1
 
 
 def validate_period(p: PeriodData) -> Tuple[str, ...]:
@@ -93,7 +99,7 @@ def validate_period(p: PeriodData) -> Tuple[str, ...]:
     return tuple(checked)
 
 
-def phase_square(p: PeriodData, gamma, root_choice: int = 1) -> RotationPhase:
+def phase_square(p: PeriodData, gamma) -> RotationPhase:
     """c = gamma.theta and zeta^2 = conj(c)/c in lowest terms, from the closed
     form ((a^2 - b^2) - 2ab i) / (a^2 + b^2) for c = a + bi."""
     if not p.omega_is_rational:
@@ -117,11 +123,9 @@ def phase_square(p: PeriodData, gamma, root_choice: int = 1) -> RotationPhase:
             ),
             gamma_square=g2,
         )
-    if root_choice not in (1, -1):
-        raise ValueError("root_choice must be +1 or -1")
     n = a * a + b * b
     zeta_squared = GaussianRational((a * a - b * b) / n, -2 * a * b / n)
-    return RotationPhase(GaussianRational(a, b), zeta_squared, root_choice)
+    return RotationPhase(GaussianRational(a, b), zeta_squared)
 
 
 def rotated_picard(p: PeriodData, gamma) -> Sublattice:
@@ -145,7 +149,9 @@ def kahler_sign(p: PeriodData, gamma, x, root_choice: int = 1) -> int:
     root_choice * sign(Re(conj(c)(x.theta))); only the sign survives the
     irrational normalization.
     """
-    phase = phase_square(p, gamma, root_choice)
+    if root_choice not in (1, -1):
+        raise ValueError("root_choice must be +1 or -1")
+    phase = phase_square(p, gamma)
     lat = p.host
     a, b = phase.c.re, phase.c.im
     val = a * Fraction(inner(lat, x, p.theta_re)) + b * Fraction(

@@ -12,8 +12,8 @@ diagonalization behind signatures and Fincke-Pohst, yielded step by step.
 Only kernels build the echelon's whole transform; a solve replays
 its logged row operations on one vector, so a logged elimination serves
 every later solve over the same rows. An inverse is an integer matrix over
-one least denominator (frac_inverse), and integral_row clears denominators
-without making a Fraction; Fraction stays only for float entries. Integer
+one least denominator (frac_inverse); integral_row clears denominators
+without a Fraction, and rational_direction primitivizes the result. Integer
 arguments are checked, never truncated: int_vector and freeze accept
 integral values only. A Gram row of a mostly-zero integer vector (vecmat)
 sums only the rows of its nonzero entries; other vectors take column sums.
@@ -101,6 +101,24 @@ def dot(u: Sequence, v: Sequence):
     if len(u) != len(v):
         raise ValueError("dot shape mismatch")
     return sum(map(mul, u, v))
+
+
+def primitivize(coords) -> IntVector:
+    """Divide an integer vector by the gcd of its entries. Zero vectors pass through."""
+    g = gcd(*coords)
+    if g <= 1:
+        return tuple(int(c) for c in coords)
+    return tuple(int(c) // g for c in coords)
+
+
+def sign_normalized(coords) -> tuple:
+    """Flip the sign so that the first nonzero coordinate is positive."""
+    for c in coords:
+        if c > 0:
+            return tuple(coords)
+        if c < 0:
+            return tuple(-x for x in coords)
+    return tuple(coords)
 
 
 def xgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -227,10 +245,10 @@ def _gauss_jordan(a: List[List[int]], n: int) -> Tuple[int, int]:
     """Fraction-free Gauss-Jordan on the rows of a in place, pivots in the
     first n columns; (sign, prev) with sign * prev = det of that block.
 
-    Every row i != k becomes (p row_i - a_ik row_k) / prev at pivot p, an
-    exact division (Bareiss); sign flips on each row swap. Only columns right
-    of the pivot are updated, as no later step reads the others, so columns
-    past n (an appended identity) end as prev * block^-1. A row with
+    Rows i > k, and every row i != k when a has columns past n (an appended
+    identity, which ends as prev * block^-1), become (p row_i - a_ik row_k) /
+    prev at pivot p, an exact division (Bareiss), right of the pivot only, as
+    no later step reads the rest; sign flips on each row swap. A row with
     a_ik = 0 at p = prev is skipped. A singular block returns (1, 0).
     """
     sign, prev = 1, 1
@@ -242,8 +260,8 @@ def _gauss_jordan(a: List[List[int]], n: int) -> Tuple[int, int]:
             a[k], a[piv] = a[piv], a[k]
             sign = -sign
         p, rk = a[k][k], a[k][k + 1:]
-        for i, row in enumerate(a):
-            c = row[k]
+        for i in range(0 if len(a[k]) > n else k + 1, n):
+            row, c = a[i], a[i][k]
             if i != k and (c or p != prev):  # else row i stays as it is
                 row[k + 1:] = [(p * x - c * y) // prev for x, y in zip(row[k + 1:], rk)]
         prev = p
@@ -325,6 +343,15 @@ def integral_row(row: Sequence) -> Tuple[int, ...]:
     return tuple(x.numerator * (d // x.denominator) for x in row)
 
 
+def rational_direction(coords) -> IntVector:
+    """Primitive integer vector spanning the same ray as a rational vector.
+
+    Scales by a positive rational only, so direction-dependent data (signs,
+    orthogonality) is preserved exactly.
+    """
+    return primitivize(integral_row(coords))
+
+
 def frac_inverse(m: Sequence[Sequence[int]]) -> Tuple[int, IntMatrix]:
     """(d, A) with m^-1 = A / d over Z, d >= 1 least; ZeroDivisionError if singular.
 
@@ -363,10 +390,10 @@ def diagonal_steps(gram: Sequence[Sequence[int]]) -> Iterator[Tuple[int, IntVect
     = diag[i] * [i == j]; step k is final when it is yielded, so a caller
     that needs only the first pivot of some sign stops there. Zero pivots
     get the moves of rational elimination (swap in a later nonzero diagonal
-    entry, else v_k += v_j, then v_k -= 2 v_j if needed; skip when v_k
-    pairs to zero with the rest), and later rows are updated Bareiss-style,
-    (d row_i - a_ik row_k) / prev, exactly. Row k is |prev| times the
-    rational row, and diag[k] = prev * d.
+    entry, else v_k += v_j for some a_kj != 0, giving a_kk = 2 a_kj; skip
+    when v_k pairs to zero with the rest), and later rows are updated
+    Bareiss-style, (d row_i - a_ik row_k) / prev, exactly. Row k is |prev|
+    times the rational row, and diag[k] = prev * d.
     """
     n = len(gram)
     a = [list(map(int, row)) for row in gram]
@@ -403,8 +430,6 @@ def diagonal_steps(gram: Sequence[Sequence[int]]) -> Iterator[Tuple[int, IntVect
                 j = next((i for i in range(k + 1, n) if a[k][i]), None)
                 if j is not None:
                     add_row(k, j, 1)
-                    if a[k][k] == 0:
-                        add_row(k, j, -2)
         fresh(k)
         d, ak, bk = a[k][k], a[k][k + 1:], basis[k]
         yield prev * d, tuple(bk if prev > 0 else [-x for x in bk])

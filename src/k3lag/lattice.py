@@ -16,7 +16,6 @@ from typing import Iterable, Sequence, Tuple, Union
 
 from . import intlinalg as la
 from .errors import DegenerateLattice, RankMismatch, printable
-from .exact import primitivize
 
 # entries kept per memoized lattice function (signature, radical, Gram
 # inverse); least recently used lattices are dropped beyond it
@@ -380,26 +379,3 @@ def sublattice_index(inner_sub: Sublattice, outer_sub: Sublattice) -> int:
 
 def is_primitive(v: VectorLike) -> bool:
     return gcd(*la.int_vector(v)) == 1
-
-
-__all__ = [
-    "Lattice",
-    "Sublattice",
-    "Isometry",
-    "FormalVector",
-    "inner",
-    "norm",
-    "gram_row",
-    "saturate",
-    "orth_complement",
-    "signature",
-    "radical",
-    "sublattice_index",
-    "hyperbolic_plane",
-    "e8_lattice",
-    "k3_lattice",
-    "direct_sum",
-    "from_diagonal",
-    "is_primitive",
-    "primitivize",
-]

@@ -13,7 +13,7 @@ from collections import Counter
 
 from .criteria import classify, lag_lattice
 from .eichler import orth_witnesses
-from .exact import primitivize
+from .intlinalg import primitivize
 from .lattice import Lattice, inner, k3_lattice, norm
 
 

@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .exact import GaussianRational
+from .hodge import GaussianRational
 from .lattice import (
     FormalVector,
     Lattice,

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from k3lag.exact import primitivize
+from k3lag.intlinalg import primitivize
 from k3lag.lattice import (
     Lattice,
     direct_sum,

@@ -598,3 +598,100 @@ def test_digit_limit_and_nesting_end_in_a_document(command, stdin, exit_code, er
     assert proc.returncode == exit_code and proc.stderr == ""
     doc = json.loads(proc.stdout)
     assert doc.get("error", {}).get("code") == error
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def _decompose_with_omega(omega):
+    return dict(_decompose_payload(["1", "-2", "0", "0", "0", "0"]), omega=omega)
+
+
+ONE6 = ["1/1"] * 6
+
+
+@pytest.mark.parametrize(
+    "args, payload, error",
+    [
+        (["eichler"], {"host": "K3", "w": "1"}, "bad_vector"),
+        (["realize"], {"host": "K3", "sublattice": "1"}, "bad_matrix"),
+        (["classify"], {"lattice": {"gram": [["0", "1"], ["1"]]}}, "gram_not_square"),
+        (["classify"], {"lattice": "E7"}, "unknown_lattice"),
+        (["classify"], {"lattice": ["0"]}, "bad_lattice"),
+        (["decompose"], _decompose_with_omega("1/1"), "bad_formal"),
+        (["decompose"], _decompose_with_omega({"base": ONE6, "terms": "x"}), "bad_formal"),
+        (["decompose"], _decompose_with_omega({"base": ONE6, "terms": [{"marker": "1"}]}),
+         "bad_formal"),
+        (["decompose"], _decompose_with_omega({"base": ONE6, "eps": "0/1"}), "bad_formal"),
+        (["syz"], {"host": "K3", "w": ["1/0"] + ["0"] * 21}, "bad_rational"),
+        (["syz"], {"host": "K3", "w": ["1.5"] + ["0"] * 21}, "bad_rational"),
+        (["syz"], {"host": "K3"}, "missing_field"),
+        (["classify"], {}, "missing_lattice"),
+        (["sample", "--count", "1"], {"force_w": ["1", "-1"] + ["0"] * 20}, "bad_force_w"),
+        (["syz", "--input", "MISSING"], None, "unreadable_input"),
+        (["classify", "--lattice", "MISSING"], None, "unreadable_lattice"),
+    ],
+    ids=["bad_vector", "bad_matrix", "gram_not_square", "unknown_lattice", "bad_lattice",
+         "formal_not_object", "formal_terms_not_array", "formal_bad_term", "formal_bad_eps",
+         "zero_denominator", "not_p_over_q", "missing_field", "missing_lattice",
+         "bad_force_w", "unreadable_input", "unreadable_lattice"],
+)
+def test_wire_refusals_exit_2_with_their_code(capsys, tmp_path, args, payload, error):
+    args = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in args]
+    if payload is not None:
+        args = args + ["--input", str(_write(tmp_path, payload))]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 2 and json.loads(captured.out)["error"]["code"] == error
+    assert captured.err == ""
+
+
+SYZ_W = {"host": "K3", "w": ["1", "1"] + ["0"] * 20}
+EICHLER_W = {"host": "K3", "w": ["1", "1", "1", "1"] + ["0"] * 18}
+IDENTITY22 = [["1" if i == j else "0" for j in range(22)] for i in range(22)]
+
+
+@pytest.mark.parametrize(
+    "args, payload, path, value, failures",
+    [
+        (["classify", "--lattice", "U"], None, ("result", "witness"), ["0", "0"],
+         ["classification changed on recomputation", "witness square is not positive"]),
+        (["roots", "--lattice", "E8"], None, ("result", "roots", 0), ["2"] + ["0"] * 7,
+         ["root report changed on recomputation", "listed root does not have square -2"]),
+        (["decompose"], _decompose_payload(["1", "-2", "0", "0", "0", "0"]),
+         ("result", "certificate", "terms", 0, "coeff"), "2", ["certificate: sum mismatch"]),
+        (["syz"], SYZ_W, ("input", "w"), EICHLER_W["w"],
+         ["w_primitive is not the primitivized input direction"]),
+        (["eichler"], EICHLER_W, ("result", "isometry", 21, 21), "2",
+         ["isometry does not preserve the form"]),
+        (["eichler"], EICHLER_W, ("result", "isometry"), IDENTITY22,
+         ["isometry image differs from target"]),
+        (["eichler"], EICHLER_W, ("result", "d"), "3",
+         ["target is not e1 + d*f1 with 2d = w.w"]),
+        (["realize"], {"host": "K3", "sublattice": E8_BLOCK}, ("result", "ok"), False,
+         ["realizability verdict changed on recomputation"]),
+        (["realize"], {"host": {"gram": U3_GRAM}, "sublattice": [["2"] + ["0"] * 5]},
+         ("result", "failing_condition"), "NotProper",
+         ["failing condition changed on recomputation"]),
+        (["realize"], {"host": "K3", "sublattice": E8_BLOCK}, ("input", "sublattice"),
+         E8_BLOCK[:7], ["witness joint kernel differs from the sublattice"]),
+    ],
+    ids=["classify_witness", "roots_square", "certificate", "w_primitive",
+         "eichler_form", "eichler_image", "eichler_target", "realize_verdict",
+         "realize_condition", "realize_kernel"],
+)
+def test_verify_names_each_tampering(capsys, tmp_path, args, payload, path, value, failures):
+    code, doc = run_cli(capsys, args, payload, tmp_path)
+    assert code == 0
+    owner = doc
+    for key in path[:-1]:
+        owner = owner[key]
+    owner[path[-1]] = value
+    code = main(["verify", "--input", str(_write(tmp_path, doc))])
+    captured = capsys.readouterr()
+    verdict = json.loads(captured.out)["result"]
+    assert code == 1 and verdict["ok"] is False and verdict["failures"] == failures
+    assert captured.err == ""

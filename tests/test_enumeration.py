@@ -19,7 +19,7 @@ from k3lag.enumeration import (
     short_vectors,
 )
 from k3lag.errors import NotNegativeDefinite, NotPositive, RankMismatch
-from k3lag.exact import primitivize, sign_normalized
+from k3lag.intlinalg import primitivize, sign_normalized
 from k3lag.lattice import (
     Lattice,
     Sublattice,

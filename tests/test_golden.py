@@ -21,7 +21,7 @@ from k3lag import cli
 from k3lag import serialize as ser
 from k3lag.cli import main
 from k3lag.enumeration import Unknown, find_isotropic
-from k3lag.exact import GaussianRational
+from k3lag.hodge import GaussianRational
 from k3lag.lattice import (
     FormalVector,
     Lattice,

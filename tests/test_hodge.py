@@ -214,6 +214,12 @@ def test_kahler_sign_fixtures(toy):
     assert kahler_sign(toy, v6(1, 0), v6(1, 0), -1) == -1
 
 
+@pytest.mark.parametrize("root", [0, 2, -2, "+"])
+def test_kahler_sign_refuses_a_root_other_than_plus_or_minus_one(toy, root):
+    with pytest.raises(ValueError, match="root_choice must be"):
+        kahler_sign(toy, v6(1, 0), v6(1, 0), root)
+
+
 def test_kahler_sign_antisymmetric_in_root(toy):
     rng = random.Random(37)
     for _ in range(25):

@@ -11,7 +11,7 @@ from k3lag import enumeration
 from k3lag import intlinalg as la
 from k3lag.criteria import lag_lattice
 from k3lag.enumeration import find_positive
-from k3lag.exact import primitivize, rational_direction
+from k3lag.intlinalg import primitivize, rational_direction
 from k3lag.lattice import Lattice, k3_lattice, norm, signature
 
 from conftest import fraction_clear, sample_positive_primitive
@@ -690,6 +690,31 @@ def test_symmetric_diagonalize_degenerate_edges():
     u = ((0, 1), (1, 0))
     diag, basis = la.symmetric_diagonalize(u)
     assert diag == (2, -2) and basis == ((1, 1), (-1, 1))
+
+
+def test_diagonal_steps_on_zero_diagonal_grams():
+    # every diagonal entry left is 0 at each zero pivot, so the step takes
+    # v_k += v_j for a nonzero a_kj (then a_kk = 2 a_kj) or skips v_k
+    grams = [((0, 1), (1, 0)), ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))]
+    rng = random.Random(28)
+    for _ in range(200):
+        n = rng.randint(1, 8)
+        g = [list(row) for row in _random_symmetric(rng, n, -2, 2, zero_diagonal=True)]
+        for i in rng.sample(range(n), rng.randint(0, n // 2)):
+            for j in range(n):
+                g[i][j] = g[j][i] = 0  # e_i joins the radical
+        grams.append(tuple(map(tuple, g)))
+    singular = sum(la.det(g) == 0 for g in grams)
+    assert 0 < singular < len(grams)
+    for gram in grams:
+        steps = list(la.diagonal_steps(gram))
+        basis = tuple(v for _, v in steps)
+        n = len(gram)
+        diagonal = tuple(
+            tuple(d if i == j else 0 for j in range(n)) for i, (d, _) in enumerate(steps)
+        )
+        assert la.matmul(la.matmul(basis, gram), la.transpose(basis)) == diagonal, gram
+        assert la.det(basis) != 0, gram
 
 
 # lattices on which find_positive needs the diagonalization: no basis vector
