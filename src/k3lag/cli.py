@@ -5,6 +5,12 @@ sample, verify. Documents are UTF-8 JSON on stdin/stdout (or --input /
 --output); all integers are decimal strings. Identical inputs (including
 seed) produce byte-identical output.
 
+argv is the command, then flags from its COMMANDS entry (and --input,
+--output), each as `--flag value` or `--flag=value`; the last one given wins
+and a value may start with one `-` (`--seed -5`). Anything else (an
+abbreviated flag, -h or --help, a flag without a value) exits 2 with a
+bad_arguments document naming the token and the command's flags.
+
 One table, COMMANDS, describes every command: its flags, the decoder that
 turns its `input` document into library values, the compute step, and what
 `verify` checks. A command folds its payload and flags into the `input`
@@ -25,8 +31,7 @@ search height exhausted).
 """
 from __future__ import annotations
 
-import argparse
-import functools
+import os
 import sys
 from math import lcm
 from typing import Callable, NamedTuple, Optional
@@ -75,17 +80,19 @@ def _load(path: str, code: str) -> dict:
         raise ser.InputError(code, str(exc))
 
 
-def _fold(args, spec: Command) -> dict:
-    if args.input and args.input != "-":
-        inp = _load(args.input, "unreadable_input")
-    elif args.input or spec.stdin:
+def _fold(args: dict, spec: Command) -> dict:
+    if args["input"] and args["input"] != "-":
+        inp = _load(args["input"], "unreadable_input")
+    elif args["input"] or spec.stdin:
         inp = ser.loads(sys.stdin.read())
     else:
         inp = {}
-    options = {k: v for k, v in vars(args).items() if k not in ("command", "input", "output")}
+    options = {k: v for k, v in args.items() if k not in ("command", "input", "output")}
     lattice = options.pop("lattice", None)
     if lattice is not None:
-        named = lattice in ser.NAMED_LATTICES
+        # a bare word that names no file is a lattice name, which dec_lattice checks
+        named = lattice in ser.NAMED_LATTICES or not (
+            os.path.dirname(lattice) or os.path.exists(lattice))
         inp["lattice"] = lattice if named else _load(lattice, "unreadable_lattice")
     if options:
         inp["options"] = {k: str(v) for k, v in options.items()}
@@ -436,28 +443,29 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse whose errors (an unknown command or flag) exit 2 with a document."""
-
-    def error(self, message):
-        raise ser.InputError("bad_arguments", message)
-
-
-@functools.lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The argv parser, built once per process from COMMANDS."""
-    parser = _Parser(
-        prog="k3lag",
-        description="Exact lattice decision procedures for Lagrangian classes",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, spec in COMMANDS.items():
-        p = sub.add_parser(name)
-        p.add_argument("--input", help="path to a JSON input document ('-' for stdin)")
-        p.add_argument("--output", help="write the result document to this path")
-        for flag, default in spec.flags.items():
-            p.add_argument(flag, default=default)
-    return parser
+def _parse(argv) -> dict:
+    """argv -> {"command", "input", "output", one entry per flag of the command}."""
+    rest = list(sys.argv[1:] if argv is None else argv)
+    if not rest:
+        raise ser.InputError("bad_arguments", "the following arguments are required: command")
+    name = rest.pop(0)
+    if name not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        raise ser.InputError("bad_arguments", f"argument command: invalid choice: {name!r} "
+                             f"(choose from {choices})")
+    flags = {"--input": None, "--output": None, **COMMANDS[name].flags}  # flag -> value
+    while rest:
+        token = rest.pop(0)
+        flag, eq, value = token.partition("=")
+        if flag not in flags:
+            raise ser.InputError("bad_arguments", f"unrecognized arguments: {token} "
+                                 f"({name} takes {', '.join(flags)})")
+        if not eq:
+            if not rest or rest[0].startswith("--"):
+                raise ser.InputError("bad_arguments", f"argument {flag}: expected one argument")
+            value = rest.pop(0)
+        flags[flag] = value
+    return {"command": name, **{f[2:].replace("-", "_"): v for f, v in flags.items()}}
 
 
 def _emit(path: Optional[str], text: str, code: int) -> int:
@@ -476,11 +484,11 @@ def _emit(path: Optional[str], text: str, code: int) -> int:
 def main(argv=None) -> int:
     output = None
     try:
-        args = build_parser().parse_args(argv)
-        output, spec = args.output, COMMANDS[args.command]
+        args = _parse(argv)
+        output, spec = args["output"], COMMANDS[args["command"]]
         echo, result, code = spec.run(**spec.decode(_fold(args, spec)))
         try:
-            doc = ser.enc({"command": args.command, "input": echo, "result": result})
+            doc = ser.enc({"command": args["command"], "input": echo, "result": result})
         except ValueError:  # str() refuses an int past sys.get_int_max_str_digits()
             raise AnswerTooLarge(max_digits=sys.get_int_max_str_digits())
     except ser.InputError as exc:

@@ -25,8 +25,8 @@ from .lattice import (
     k3_lattice,
 )
 
-_INT_RE = re.compile(r"^-?\d+$")
-_FRAC_RE = re.compile(r"^-?\d+(/\d+)?$")
+_INT_RE = re.compile(r"-?[0-9]+")
+_FRAC_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 NAMED_LATTICES = {
     "U": hyperbolic_plane,
@@ -81,7 +81,7 @@ def _too_large(what: str) -> InputError:
 
 
 def dec_int(value, what: str = "integer") -> int:
-    if isinstance(value, str) and _INT_RE.match(value):
+    if isinstance(value, str) and _INT_RE.fullmatch(value):
         try:
             return int(value)
         except ValueError:
@@ -90,7 +90,7 @@ def dec_int(value, what: str = "integer") -> int:
 
 
 def dec_frac(value, what: str = "rational") -> Fraction:
-    if isinstance(value, str) and _FRAC_RE.match(value):
+    if isinstance(value, str) and _FRAC_RE.fullmatch(value):
         try:
             return Fraction(value)
         except ZeroDivisionError:

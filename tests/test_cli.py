@@ -7,7 +7,7 @@ import time
 import pytest
 
 import k3lag
-from k3lag.cli import build_parser, main
+from k3lag.cli import main
 
 U3_GRAM = [
     ["0", "1", "0", "0", "0", "0"],
@@ -370,10 +370,6 @@ def test_bad_json_exits_2(capsys, tmp_path):
 E8_BLOCK = [["1" if j == 6 + i else "0" for j in range(22)] for i in range(8)]
 
 
-def test_parser_is_built_once():
-    assert build_parser() is build_parser()
-
-
 def test_verify_list_command_exits_2(capsys, tmp_path):
     doc = {"command": ["eichler"], "input": {}, "result": {}}
     code, vdoc = run_cli(capsys, ["verify"], doc, tmp_path)
@@ -481,8 +477,22 @@ def test_output_unwritable_exits_2(capsys, tmp_path):
         (["classify", "--lattice", "U", "--bogus"], "--bogus"),
         (["bogus"], "bogus"),
         ([], "command"),
+        (["bogus"], "(choose from 'info', 'classify', 'roots', 'decompose', 'realize', "
+                    "'syz', 'eichler', 'sample', 'verify')"),
+        (["classify", "--lattice", "U", "--bogus"],
+         "unrecognized arguments: --bogus (classify takes --input, --output, --lattice)"),
+        (["info", "--help"], "unrecognized arguments: --help (info takes --input, --output, "
+                             "--lattice, --height)"),
+        (["info", "-h"], "unrecognized arguments: -h (info takes"),
+        (["info", "--lattice", "U", "--heig", "3"], "unrecognized arguments: --heig (info"),
+        (["info", "--lattice", "U", "--heig=3"], "unrecognized arguments: --heig=3 (info"),
+        (["classify", "U"], "unrecognized arguments: U (classify"),
+        (["classify", "--lattice"], "argument --lattice: expected one argument"),
+        (["sample", "--seed", "--count", "3"], "argument --seed: expected one argument"),
     ],
-    ids=["unknown_flag", "unknown_command", "missing_command"],
+    ids=["unknown_flag", "unknown_command", "missing_command", "command_list", "flag_list",
+         "help", "short_help", "abbreviation", "abbreviation_equals", "positional",
+         "missing_value", "double_dash_value"],
 )
 def test_argument_errors_exit_2_with_document(capsys, argv, word):
     code = main(argv)
@@ -491,6 +501,32 @@ def test_argument_errors_exit_2_with_document(capsys, argv, word):
     assert code == 2 and doc["error"]["code"] == "bad_arguments"
     assert word in doc["error"]["message"]
     assert captured.err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["info", "--lattice", "U", "--height", "2"], "height", "2"),
+        (["info", "--lattice=U", "--height=2"], "height", "2"),
+        (["info", "--lattice", "U", "--height", "5", "--height=2"], "height", "2"),
+        (["sample", "--count", "1", "--seed", "-5"], "seed", "-5"),
+        (["sample", "--count=1", "--mode", "positive", "--mode=isotropic"], "mode", "isotropic"),
+    ],
+    ids=["space", "equals", "repeated_last_wins", "single_dash_value", "repeated_mixed"],
+)
+def test_accepted_argument_forms(capsys, argv, key, value):
+    code, doc = run_cli(capsys, argv)
+    assert code == 0 and doc["input"]["options"][key] == value
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["k3lag", "info", "--lattice", "U", "--height", "2"])
+    assert main() == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["command"] == "info" and doc["input"]["options"]["height"] == "2"
+    monkeypatch.setattr(sys, "argv", ["k3lag", "info", "--heig", "2"])
+    assert main() == 2
+    assert "--heig" in json.loads(capsys.readouterr().out)["error"]["message"]
 
 
 @pytest.mark.parametrize(
@@ -628,6 +664,10 @@ ONE6 = ["1/1"] * 6
         (["decompose"], _decompose_with_omega({"base": ONE6, "eps": "0/1"}), "bad_formal"),
         (["syz"], {"host": "K3", "w": ["1/0"] + ["0"] * 21}, "bad_rational"),
         (["syz"], {"host": "K3", "w": ["1.5"] + ["0"] * 21}, "bad_rational"),
+        (["eichler"], {"host": "K3", "w": ["12\n"] + ["0"] * 21}, "bad_integer"),
+        (["eichler"], {"host": "K3", "w": ["\u0661\u0662"] + ["0"] * 21}, "bad_integer"),
+        (["syz"], {"host": "K3", "w": ["1/2\n"] + ["0"] * 21}, "bad_rational"),
+        (["syz"], {"host": "K3", "w": ["\u0661/\u0662"] + ["0"] * 21}, "bad_rational"),
         (["syz"], {"host": "K3"}, "missing_field"),
         (["classify"], {}, "missing_lattice"),
         (["sample", "--count", "1"], {"force_w": ["1", "-1"] + ["0"] * 20}, "bad_force_w"),
@@ -636,8 +676,9 @@ ONE6 = ["1/1"] * 6
     ],
     ids=["bad_vector", "bad_matrix", "gram_not_square", "unknown_lattice", "bad_lattice",
          "formal_not_object", "formal_terms_not_array", "formal_bad_term", "formal_bad_eps",
-         "zero_denominator", "not_p_over_q", "missing_field", "missing_lattice",
-         "bad_force_w", "unreadable_input", "unreadable_lattice"],
+         "zero_denominator", "not_p_over_q", "int_trailing_newline", "int_non_ascii_digits",
+         "rational_trailing_newline", "rational_non_ascii_digits", "missing_field",
+         "missing_lattice", "bad_force_w", "unreadable_input", "unreadable_lattice"],
 )
 def test_wire_refusals_exit_2_with_their_code(capsys, tmp_path, args, payload, error):
     args = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in args]
@@ -647,6 +688,21 @@ def test_wire_refusals_exit_2_with_their_code(capsys, tmp_path, args, payload, e
     captured = capsys.readouterr()
     assert code == 2 and json.loads(captured.out)["error"]["code"] == error
     assert captured.err == ""
+
+
+def test_lattice_flag_tells_a_name_from_a_path(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    by_payload = main(["classify", "--input", str(_write(tmp_path, {"lattice": "E7"}))])
+    payload_doc = json.loads(capsys.readouterr().out)
+    assert main(["classify", "--lattice", "E7"]) == by_payload == 2
+    assert json.loads(capsys.readouterr().out) == payload_doc
+    assert payload_doc["error"]["message"] == "lattice: unknown name 'E7'; use U, E8 or K3"
+    # a missing path with a separator is unreadable; a bare word naming a file is read
+    assert main(["classify", "--lattice", os.path.join("sub", "E7")]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "unreadable_lattice"
+    (tmp_path / "E7").write_text(json.dumps({"gram": [["0", "1"], ["1", "0"]]}))
+    assert main(["classify", "--lattice", "E7"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["case"] == "PositiveWitness"
 
 
 SYZ_W = {"host": "K3", "w": ["1", "1"] + ["0"] * 20}
