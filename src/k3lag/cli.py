@@ -247,26 +247,25 @@ def _run_roots(lat: Lattice):
     return {"lattice": lat}, result, 0
 
 
+def _phase(host, omega, gamma, root_choice, theta, **_) -> Optional[dict]:
+    """A decompose result's phase entry: None without theta."""
+    if theta is None:
+        return None
+    try:
+        phase = phase_square(PeriodData(host, theta[0], theta[1], omega), gamma)
+    except (TypeOneOne, InvalidPeriod, FormalOmegaUnsupported) as exc:
+        return {"unavailable": exc.code}
+    return {"c": phase.c, "zeta_squared": phase.zeta_squared, "root_choice": root_choice}
+
+
 def _run_decompose(host, omega, gamma, root_choice, theta, verbatim):
     cert = certificate_for(host, omega, gamma)
     check = verify_certificate(cert.context, gamma, cert)
-    phase_doc = None
-    if theta is not None:
-        try:
-            period = PeriodData(host, theta[0], theta[1], omega)
-            phase = phase_square(period, gamma)
-            phase_doc = {
-                "c": phase.c,
-                "zeta_squared": phase.zeta_squared,
-                "root_choice": root_choice,
-            }
-        except (TypeOneOne, InvalidPeriod, FormalOmegaUnsupported) as exc:
-            phase_doc = {"unavailable": exc.code}
     echo = {"host": host, "gamma": gamma, "options": {"root_choice": root_choice}}
     result = {
         "certificate": {"terms": [{"coeff": c, "class": v} for c, v in cert.terms]},
         "lagrangian_rank": cert.context.rank,
-        "phase": phase_doc,
+        "phase": _phase(host, omega, gamma, root_choice, theta),
         "verified": bool(check),
     }
     return dict(echo, **verbatim), result, 0
@@ -349,7 +348,7 @@ def _check_roots(result: dict, failures: list, lat: Lattice) -> None:
         failures.append("listed root does not have square -2")
 
 
-def _check_decompose(result: dict, failures: list, host, omega, gamma, **_) -> None:
+def _check_decompose(result: dict, failures: list, host, omega, gamma, **rest) -> None:
     certificate = _field(result, "certificate", "result")
     terms = tuple(
         (
@@ -362,6 +361,12 @@ def _check_decompose(result: dict, failures: list, host, omega, gamma, **_) -> N
     check = verify_certificate(sub, gamma, SlagCertificate(terms, sub))
     if not check:
         failures.append(f"certificate: {check.reason}")
+    elif _field(result, "verified", "result") is not True:
+        failures.append("verified differs from the certificate check")
+    if ser.dec_int(_field(result, "lagrangian_rank", "result"), "lagrangian_rank") != sub.rank:
+        failures.append("lagrangian_rank differs from the rank of the Lagrangian lattice")
+    if _field(result, "phase", "result") != ser.enc(_phase(host, omega, gamma, **rest)):
+        failures.append("phase changed on recomputation")
 
 
 def _check_syz(result: dict, failures: list, host, w) -> None:
@@ -371,7 +376,10 @@ def _check_syz(result: dict, failures: list, host, w) -> None:
     )
     if rational_direction(w) != wp:
         failures.append("w_primitive is not the primitivized input direction")
-    failures += witness_failures(host, wp, v, ell)
+    named = witness_failures(host, wp, v, ell)
+    failures += named
+    if not named:  # the witness holds, so ell.ell, ell.w, v.v and v.w are 0, 0, 2, 0
+        _check_claims(result, failures, {"ell_sq": 0, "pairing": 0, "v_sq": 2, "v_pairing": 0})
     _check_eichler(result, failures, host, wp, has_target=False)
 
 
@@ -387,12 +395,25 @@ def _check_eichler(result: dict, failures: list, host, w, has_target=True) -> No
     target = canonical
     if has_target:
         target = ser.dec_ivec(_field(result, "target", "result"), "target", host.rank)
-    if not g.preserves(host):
+    preserved, image_matches = g.preserves(host), g.apply(w) == target
+    if not preserved:
         failures.append("isometry does not preserve the form")
-    if g.apply(w) != target:
+    if not image_matches:
         failures.append("isometry image differs from target")
     if target != canonical or norm(host, w) != 2 * d:
         failures.append("target is not e1 + d*f1 with 2d = w.w")
+    if has_target and preserved and image_matches:
+        _check_claims(result, failures, {"gram_preserved": True, "image_matches": True})
+
+
+def _check_claims(result: dict, failures: list, recomputed: dict) -> None:
+    """The checks block restates checks that hold (a failed one is named
+    already): each entry must be its recomputed value, in wire form."""
+    checks = _field(result, "checks", "result", kind=dict)
+    for key, value in recomputed.items():
+        claimed, value = _field(checks, key, "checks"), ser.enc(value)
+        if claimed != value or type(claimed) is not type(value):
+            failures.append(f"checks.{key} differs from its recomputed value")
 
 
 def _check_realize(result: dict, failures: list, host, sub) -> None:

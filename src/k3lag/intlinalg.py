@@ -11,12 +11,14 @@ kernel for the determinant and the inverse, and the congruence
 diagonalization behind signatures and Fincke-Pohst, yielded step by step.
 Only kernels build the echelon's whole transform; a solve replays
 its logged row operations on one vector, so a logged elimination serves
-every later solve over the same rows. An inverse is an integer matrix over
-one least denominator (frac_inverse); integral_row clears denominators
-without a Fraction, and rational_direction primitivizes the result. Integer
-arguments are checked, never truncated: int_vector and freeze accept
-integral values only. A Gram row of a mostly-zero integer vector (vecmat)
-sums only the rows of its nonzero entries; other vectors take column sums.
+every later solve over the same rows, and rows already in echelon form (an
+HNF basis) are back-substituted as given, with no elimination. An inverse
+is an integer matrix over one least denominator (frac_inverse);
+integral_row clears denominators without a Fraction, and rational_direction
+primitivizes the result. Integer arguments are checked, never truncated:
+int_vector and freeze accept integral values only. A Gram row of a
+mostly-zero integer vector (vecmat) sums only the rows of its nonzero
+entries; other vectors take column sums.
 """
 from __future__ import annotations
 
@@ -277,9 +279,16 @@ def det(m: Sequence[Sequence[int]]) -> int:
 def solve_left(
     rows: Sequence[Sequence[int]], target: Sequence[int], ncols: int
 ) -> Optional[IntVector]:
-    """Integer x with x . rows = target, or None: a logged elimination, replayed."""
+    """Integer x with x . rows = target, or None. Rows in echelon form (each
+    nonzero row's first nonzero column right of the row before's, zero rows
+    last), as every Sublattice basis is, have independent nonzero rows and
+    are back-substituted as given; other rows take a logged elimination."""
     if len(target) != ncols:
         raise ValueError("solve_left shape mismatch")
+    # the first nonzero column of each row, ncols for a zero row
+    lead = [row.index(x) if (x := next(filter(None, row), 0)) else ncols for row in rows]
+    if all(a < b or a == b == ncols for a, b in zip(lead, lead[1:])):
+        return solve_logged(rows, (), len(rows), target)
     h = [list(map(int, r)) for r in rows]
     log: list = []
     _echelon(h, ncols, log)
@@ -296,12 +305,13 @@ def solve_logged(h, log, nrows: int, target: Sequence[int]) -> Optional[IntVecto
     t = [int(x) for x in target]
     coeffs = [0] * nrows
     for i, row in enumerate(h):
-        if not any(row):
+        lead = next(filter(None, row), 0)
+        if not lead:
             break
-        p = next(j for j, x in enumerate(row) if x)
-        if t[p] % row[p]:
+        p = row.index(lead)
+        if t[p] % lead:
             return None
-        q = t[p] // row[p]
+        q = t[p] // lead
         coeffs[i] = q
         if q:
             t = [a - q * b for a, b in zip(t, row)]

@@ -6,7 +6,9 @@ rationals as {re, im} objects, Gram matrices and vectors as arrays of
 decimal strings. One encoder, enc, turns library values into that form
 (canonical: keys are sorted at dump time); the decoders validate types and,
 given a length, the length of every vector before any computation and raise
-InputError with a machine-readable code.
+InputError with a machine-readable code. A vector is checked by one match
+over its entries joined by commas, then converted whole; a vector that
+fails goes entry by entry, so the first bad entry names the fault.
 """
 from __future__ import annotations
 
@@ -27,6 +29,8 @@ from .lattice import (
 
 _INT_RE = re.compile(r"-?[0-9]+")
 _FRAC_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_INTS_RE = re.compile(f"{_INT_RE.pattern}(,{_INT_RE.pattern})*")  # entries joined by ","
+_FRACS_RE = re.compile(f"{_FRAC_RE.pattern}(,{_FRAC_RE.pattern})*")
 
 NAMED_LATTICES = {
     "U": hyperbolic_plane,
@@ -106,18 +110,33 @@ def _sized(vec: tuple, n, what: str) -> tuple:
     return vec
 
 
-def dec_ivec(value, what: str = "vector", n=None) -> tuple:
-    """Integer vector, of length n when n is given."""
+def _ratio(text: str) -> Fraction:
+    p, _, q = text.partition("/")
+    return Fraction(int(p), int(q or 1))
+
+
+def _entries(value, what: str, joined, convert, one) -> tuple:
+    """The entries of the array value, all matched at once by joined, then
+    converted; on any failure (a non-string, a comma inside an entry, the
+    digit limit, a zero denominator), one(entry, what) each, which raises."""
     if not isinstance(value, list):
         raise InputError("bad_vector", f"{what}: expected an array")
-    return _sized(tuple(dec_int(c, what) for c in value), n, what)
+    try:
+        if joined.fullmatch(",".join(value)):
+            return tuple(map(convert, value))
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
+    return tuple(one(c, what) for c in value)
+
+
+def dec_ivec(value, what: str = "vector", n=None) -> tuple:
+    """Integer vector, of length n when n is given."""
+    return _sized(_entries(value, what, _INTS_RE, int, dec_int), n, what)
 
 
 def dec_qvec(value, what: str = "vector", n=None) -> tuple:
     """Rational vector, of length n when n is given."""
-    if not isinstance(value, list):
-        raise InputError("bad_vector", f"{what}: expected an array")
-    return _sized(tuple(dec_frac(c, what) for c in value), n, what)
+    return _sized(_entries(value, what, _FRACS_RE, _ratio, dec_frac), n, what)
 
 
 def dec_matrix(value, what: str = "matrix", n=None) -> tuple:

@@ -706,6 +706,10 @@ def test_lattice_flag_tells_a_name_from_a_path(capsys, tmp_path, monkeypatch):
 
 
 SYZ_W = {"host": "K3", "w": ["1", "1"] + ["0"] * 20}
+U_E8 = k3lag.direct_sum(k3lag.hyperbolic_plane(), k3lag.e8_lattice())
+# gamma = (e - f) + 2 r for a root r of E8: a Split certificate on U + E8
+DECOMPOSE_U_E8 = {"host": {"gram": [[str(x) for x in row] for row in U_E8.gram]},
+                  "omega": ["1", "1"] + ["0"] * 8, "gamma": ["1", "-1", "2"] + ["0"] * 7}
 EICHLER_W = {"host": "K3", "w": ["1", "1", "1", "1"] + ["0"] * 18}
 IDENTITY22 = [["1" if i == j else "0" for j in range(22)] for i in range(22)]
 
@@ -734,10 +738,32 @@ IDENTITY22 = [["1" if i == j else "0" for j in range(22)] for i in range(22)]
          ["failing condition changed on recomputation"]),
         (["realize"], {"host": "K3", "sublattice": E8_BLOCK}, ("input", "sublattice"),
          E8_BLOCK[:7], ["witness joint kernel differs from the sublattice"]),
+        (["decompose"], DECOMPOSE_U_E8, ("result", "lagrangian_rank"), "99",
+         ["lagrangian_rank differs from the rank of the Lagrangian lattice"]),
+        (["decompose"], DECOMPOSE_U_E8, ("result", "verified"), False,
+         ["verified differs from the certificate check"]),
+        (["decompose"], DECOMPOSE_U_E8, ("result", "phase"), {"unavailable": "type_one_one"},
+         ["phase changed on recomputation"]),
+        (["decompose"], _decompose_payload(["1", "-2", "0", "0", "0", "0"]),
+         ("result", "phase", "root_choice"), "-", ["phase changed on recomputation"]),
+        (["eichler"], EICHLER_W, ("result", "checks", "gram_preserved"), False,
+         ["checks.gram_preserved differs from its recomputed value"]),
+        (["eichler"], EICHLER_W, ("result", "checks", "image_matches"), False,
+         ["checks.image_matches differs from its recomputed value"]),
+        (["syz"], SYZ_W, ("result", "checks", "ell_sq"), "5",
+         ["checks.ell_sq differs from its recomputed value"]),
+        (["syz"], SYZ_W, ("result", "checks", "pairing"), "1",
+         ["checks.pairing differs from its recomputed value"]),
+        (["syz"], SYZ_W, ("result", "checks", "v_sq"), "0",
+         ["checks.v_sq differs from its recomputed value"]),
+        (["syz"], SYZ_W, ("result", "checks", "v_pairing"), "-3",
+         ["checks.v_pairing differs from its recomputed value"]),
     ],
     ids=["classify_witness", "roots_square", "certificate", "w_primitive",
          "eichler_form", "eichler_image", "eichler_target", "realize_verdict",
-         "realize_condition", "realize_kernel"],
+         "realize_condition", "realize_kernel", "lagrangian_rank", "verified",
+         "phase_without_theta", "phase", "gram_preserved", "image_matches",
+         "ell_sq", "pairing", "v_sq", "v_pairing"],
 )
 def test_verify_names_each_tampering(capsys, tmp_path, args, payload, path, value, failures):
     code, doc = run_cli(capsys, args, payload, tmp_path)

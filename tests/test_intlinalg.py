@@ -224,6 +224,78 @@ def test_solve_left_matches_the_transform_solve():
     assert outcomes == {True, False}
 
 
+def _echelon_rows(rng, nc):
+    """Echelon rows that are no HNF: pivots of either sign, entries above them
+    unreduced, trailing zero rows; rank 0 among them."""
+    pivots = sorted(rng.sample(range(nc), rng.randint(0, nc)))
+    rows = [[0] * c + [rng.choice((-1, 1)) * rng.randint(1, 6)]
+            + [rng.randint(-9, 9) for _ in range(nc - c - 1)] for c in pivots]
+    return rows + [[0] * nc for _ in range(rng.randint(0, 2))]
+
+
+def _counting_echelon(monkeypatch):
+    calls = []
+    inner = la._echelon
+    monkeypatch.setattr(la, "_echelon", lambda *a: calls.append(1) or inner(*a))
+    return calls
+
+
+def test_solve_left_back_substitutes_echelon_rows(monkeypatch):
+    # echelon rows are solved as given, with no elimination, and agree with
+    # the transform solve; rows out of echelon order are eliminated first
+    rng = random.Random(3141)
+    calls = _counting_echelon(monkeypatch)
+    kinds = set()
+    for _ in range(400):
+        nc = rng.randint(1, 7)
+        rows = _echelon_rows(rng, nc)
+        coeffs = [rng.randint(-4, 4) for _ in rows]
+        target = [sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(nc)]
+        if rng.random() < 0.4:
+            target[rng.randrange(nc)] += rng.randint(1, 3)
+        nonzero = [r for r in rows if any(r)]
+        if len(nonzero) >= 2 and rng.random() < 0.3:  # two nonzero rows swapped
+            rows[0], rows[len(nonzero) - 1] = rows[len(nonzero) - 1], rows[0]
+            kind = "swapped"
+        elif nonzero and len(rows) > len(nonzero) and rng.random() < 0.3:
+            rows.insert(0, rows.pop())  # a zero row first
+            kind = "zero_first"
+        elif nonzero and rng.random() < 0.3:  # two rows with one first column
+            rows.insert(1, [rng.randint(1, 3) * x + y for x, y in zip(rows[0], rows[-1])])
+            kind = "shared"
+        else:
+            kind = "rank0" if not nonzero else "echelon"
+        want = _solve_left_via_transform(rows, tuple(target), nc)
+        del calls[:]
+        assert la.solve_left(rows, tuple(target), nc) == want
+        assert len(calls) == (kind in ("swapped", "zero_first", "shared"))
+        kinds.add((kind, want is None))
+    assert {k for k, _ in kinds} == {"swapped", "zero_first", "shared", "rank0", "echelon"}
+    assert ("echelon", True) in kinds and ("echelon", False) in kinds
+    # a negative pivot and an unreduced entry above a pivot, by hand
+    assert la.solve_left(((-2, 5), (0, 3)), (4, -4), 2) == (-2, 2)
+    assert la.solve_left(((-2, 5), (0, 3), (0, 0)), (4, -4), 2) == (-2, 2, 0)
+
+
+def test_coords_of_on_k3_lagrangian_lattices_eliminates_nothing(K3, monkeypatch):
+    # a Sublattice basis is an HNF, so membership is back-substitution alone
+    rng = random.Random(2202)
+    subs = [lag_lattice(K3, sample_positive_primitive(rng, K3)) for _ in range(6)]
+    calls = _counting_echelon(monkeypatch)
+    misses = 0
+    for sub in subs:
+        for _ in range(20):
+            coeffs = tuple(rng.randint(-5, 5) for _ in range(sub.rank))
+            v = sub.to_host(coeffs)
+            assert sub.coords_of(v) == coeffs
+            moved = list(v)
+            moved[rng.randrange(22)] += rng.randint(1, 3)
+            c = sub.coords_of(moved)
+            assert c is None or sub.to_host(c) == tuple(moved)
+            misses += c is None
+    assert calls == [] and misses > 60
+
+
 def test_solve_left_edge_cases():
     assert la.solve_left((), (0, 0), 2) == ()
     assert la.solve_left((), (0, 1), 2) is None
